@@ -43,6 +43,12 @@ echo "== tier-1 smoke subset under REPRO_WORKERS=2 =="
 REPRO_WORKERS=2 PYTHONPATH=src python -m pytest -q \
     tests/parallel tests/ml tests/labeling tests/chaos
 
+echo "== sniffbench self-tests =="
+# The benchmark's own tests live outside testpaths = ["tests"]: on a
+# micro world they check that per-layer counts reconcile, that tracing
+# changes no output, and that a failed output check fails the run.
+PYTHONPATH=src python -m pytest -q sniffbench/tests
+
 echo "== health smoke (alert wiring) =="
 # The SLO watchdog end to end: a deterministic faulted mini-run must
 # fire at least one alert of the injected kind, and the same run with

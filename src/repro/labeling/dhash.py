@@ -19,64 +19,86 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..parallel import parallel_map
-
 #: Paper's grouping threshold on Hamming distance.
 DEFAULT_THRESHOLD = 5
 
 _HASH_BITS = 128
 
+#: Side of the grayscale reduction (9x9 gives 8x8 neighbour pairs).
+_SIZE = 9
 
-def _resize_grayscale(image: np.ndarray, size: int = 9) -> np.ndarray:
-    """Block-average an image down to (size, size) float64."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 3:
-        image = image.mean(axis=2)
-    h, w = image.shape
-    if h < size or w < size:
-        raise ValueError(f"image {image.shape} smaller than {size}x{size}")
-    row_edges = np.linspace(0, h, size + 1).astype(int)
-    col_edges = np.linspace(0, w, size + 1).astype(int)
-    out = np.empty((size, size))
-    for i in range(size):
-        for j in range(size):
-            block = image[
-                row_edges[i] : row_edges[i + 1],
-                col_edges[j] : col_edges[j + 1],
-            ]
-            out[i, j] = block.mean()
-    return out
+#: Images stacked per kernel call: bounds the stacked copy and its
+#: int64 block sums, which count against peak memory.
+_CHUNK = 256
+
+
+def _dhash_stack(stack: np.ndarray) -> list[int]:
+    """dHashes of a stack of same-shape images, in stack order.
+
+    ``stack`` is ``(n, h, w)`` grayscale or ``(n, h, w, c)`` colour;
+    a colour image hashes as the mean of its channels.  Block sums of
+    integer pixels are exact (int64), so each block mean is the
+    correctly rounded ``sum / count`` that a per-block ``mean()``
+    returns, and every neighbour comparison is exact.
+    """
+    n, h, w = stack.shape[:3]
+    if h < _SIZE or w < _SIZE:
+        raise ValueError(
+            f"image {stack.shape[1:]} smaller than {_SIZE}x{_SIZE}"
+        )
+    exact = stack.dtype.kind in "biu"
+    rows = np.linspace(0, h, _SIZE + 1).astype(int)
+    cols = np.linspace(0, w, _SIZE + 1).astype(int)
+    sums = np.add.reduceat(
+        stack, rows[:-1], axis=1, dtype=np.int64 if exact else np.float64
+    )
+    sums = np.add.reduceat(sums, cols[:-1], axis=2)
+    counts = np.outer(np.diff(rows), np.diff(cols))
+    if sums.ndim == 4:
+        counts = counts * sums.shape[3]
+        sums = sums.sum(axis=3)
+    means = sums / counts
+    left = means[:, :8, :8]
+    horizontal = left > means[:, :8, 1:]
+    vertical = left > means[:, 1:, :8]
+    bits = np.concatenate(
+        [horizontal.reshape(n, 64), vertical.reshape(n, 64)], axis=1
+    )
+    packed = np.packbits(bits, axis=1)
+    return [int.from_bytes(row.tobytes(), "big") for row in packed]
+
+
+def dhash_many(images: list[np.ndarray]) -> list[int]:
+    """128-bit difference hash of every image, in input order.
+
+    Each image is reduced to 9x9 block means; the horizontal pass
+    compares the 8x8 left/right neighbour pairs, the vertical pass
+    the top/bottom pairs, and the bits are concatenated
+    horizontal-first, most significant first.  Same-shape images are
+    hashed together by one whole-array pass per chunk of at most 256.
+
+    Raises:
+        ValueError: on an image smaller than 9x9 or not 2-D/3-D.
+    """
+    arrays = [np.asarray(image) for image in images]
+    by_shape: dict[tuple[int, ...], list[int]] = defaultdict(list)
+    for idx, array in enumerate(arrays):
+        if array.ndim not in (2, 3):
+            raise ValueError(f"image {array.shape} is not 2-D or 3-D")
+        by_shape[array.shape].append(idx)
+    hashes = [0] * len(arrays)
+    for members in by_shape.values():
+        for start in range(0, len(members), _CHUNK):
+            chunk = members[start : start + _CHUNK]
+            stack = np.stack([arrays[idx] for idx in chunk])
+            for idx, value in zip(chunk, _dhash_stack(stack)):
+                hashes[idx] = value
+    return hashes
 
 
 def dhash(image: np.ndarray) -> int:
-    """128-bit difference hash of an image.
-
-    The horizontal pass compares each of the 8x8 left/right neighbor
-    pairs of the 9x9 reduction; the vertical pass compares top/bottom
-    pairs; bits are concatenated horizontal-first.
-    """
-    small = _resize_grayscale(image, 9)
-    horizontal = (small[:8, :8] > small[:8, 1:9]).flatten()
-    vertical = (small[:8, :8] > small[1:9, :8]).flatten()
-    bits = np.concatenate([horizontal, vertical])
-    value = 0
-    for bit in bits:
-        value = (value << 1) | int(bit)
-    return value
-
-
-def dhash_many(
-    images: list[np.ndarray], workers: int | None = None
-) -> list[int]:
-    """dHash of every image, in order.
-
-    The per-image 9x9 block reduction is a pure Python double loop —
-    the labeling pipeline's dominant per-avatar cost — so it fans out
-    over ``workers`` pool processes (0 = sequential; ``None`` defers
-    to the ambient :func:`repro.parallel.resolve_workers` rule).
-    Results are positionally identical at every worker count.
-    """
-    return parallel_map(dhash, images, workers=workers, label="dhash")
+    """128-bit difference hash of one image (see :func:`dhash_many`)."""
+    return dhash_many([image])[0]
 
 
 def hamming_distance(hash_a: int, hash_b: int) -> int:
@@ -138,23 +160,19 @@ def group_by_dhash(
     for members in buckets.values():
         if len(members) < 2:
             continue
-        anchor = members[0]
-        for other in members[1:]:
-            if hamming_distance(hashes[anchor], hashes[other]) <= threshold:
-                uf.union(anchor, other)
-            else:
-                # The anchor may not match, but another member might;
-                # fall back to pairwise checks within the bucket only
-                # when the bucket is small enough to stay near-linear.
-                for third in members:
-                    if third is other:
-                        break
-                    if (
-                        hamming_distance(hashes[third], hashes[other])
-                        <= threshold
-                    ):
-                        uf.union(third, other)
-                        break
+        # Single linkage: each member meets every earlier bucket-mate
+        # it is not already linked to, so groups do not depend on the
+        # input order.
+        for pos, other in enumerate(members):
+            root = uf.find(other)
+            for earlier in members[:pos]:
+                if (
+                    uf.find(earlier) != root
+                    and hamming_distance(hashes[earlier], hashes[other])
+                    <= threshold
+                ):
+                    uf.union(earlier, other)
+                    root = uf.find(other)
     groups: dict[int, list[int]] = defaultdict(list)
     for idx in range(len(hashes)):
         groups[uf.find(idx)].append(idx)

@@ -1,11 +1,19 @@
 """MinHash over tri-gram shingles for near-duplicate text (Section IV-B).
 
 User descriptions (and tweet bodies, for the near-duplicate tweet
-check) are normalized, cut into character tri-gram shingles, and
-hashed by k universal hash functions; the signature is the vector of
+check) are normalized, cut into character tri-gram shingles, and each
+shingle is hashed by k functions; the signature is the vector of
 per-function minima.  Following the paper, two texts are considered
 identical when their signatures agree, so grouping is a dictionary
 bucket on the signature tuple.
+
+The k functions are ``h_i(s) = (a_i * s + b_i) mod p`` with
+``p = 2**61 - 1``, but evaluated in int64: ``a_i < 2**61`` and the
+shingle hash ``s < 2**63``, so ``a_i * s + b_i`` wraps modulo
+``2**64`` (two's complement) before the non-negative ``mod p``.  The
+family is therefore not the textbook universal family; every signature,
+and so every label downstream, depends on the wrapped values, which a
+golden test pins.
 
 Shingles are hashed with :func:`stable_hash64`, not builtin
 ``hash()``: the builtin is salted per process (``PYTHONHASHSEED``),
@@ -29,6 +37,14 @@ _MERSENNE_PRIME = (1 << 61) - 1
 #: Default number of LSH bands a k-minima signature is cut into.
 DEFAULT_BANDS = 4
 
+#: Texts per whole-array pass (and per pool task): bounds the gathered
+#: (shingles x k) block one ``np.minimum.reduceat`` reads.
+_CHUNK = 256
+
+#: Distinct shingles a hasher's table holds before a chunk starts it
+#: over; one chunk may add its own shingles past the cap.
+_TABLE_CAP = 1 << 16
+
 
 def stable_hash64(text: str) -> int:
     """Process-stable 63-bit hash of a text (blake2b-derived).
@@ -41,31 +57,21 @@ def stable_hash64(text: str) -> int:
     return int.from_bytes(digest, "big") & 0x7FFFFFFFFFFFFFFF
 
 
-#: Shingle-hash memo: tri-grams draw from a tiny alphabet, so distinct
-#: shingles number in the low thousands per run while hash calls number
-#: in the hundreds of thousands.  Pure function of the text — safe to
-#: share process-wide (workers rebuild their own copy on demand).
-_SHINGLE_HASH_CAP = 500_000
-_shingle_hash: dict[str, int] = {}
-
-
-def _stable_hash64_cached(text: str) -> int:
-    value = _shingle_hash.get(text)
-    if value is None:
-        if len(_shingle_hash) >= _SHINGLE_HASH_CAP:
-            _shingle_hash.clear()
-        value = stable_hash64(text)
-        _shingle_hash[text] = value
-    return value
-
-
 class MinHasher:
     """k-function MinHash signatures over character tri-grams.
+
+    :meth:`signatures` is the batch kernel; :meth:`signature` is a
+    one-text call of it.  The k hash values of every distinct shingle
+    are kept in a bounded per-hasher table (tri-grams draw from a small
+    alphabet: labeling the train benchmark's ~9.7k tweets meets about
+    1.2k distinct shingles among ~0.7M occurrences).  The table is a
+    pure cache that never changes a signature, and it is left out of
+    pickled state, so a hasher shipped to a pool worker starts empty.
 
     Args:
         n_hashes: signature length k (more = stricter identity).
         shingle_size: character n-gram size (paper: tri-grams).
-        seed: seeds the universal hash coefficients.
+        seed: seeds the hash coefficients ``a`` and ``b``.
     """
 
     def __init__(
@@ -80,34 +86,94 @@ class MinHasher:
         rng = np.random.default_rng(seed)
         self._a = rng.integers(1, _MERSENNE_PRIME, size=n_hashes, dtype=np.int64)
         self._b = rng.integers(0, _MERSENNE_PRIME, size=n_hashes, dtype=np.int64)
+        self._clear_table()
 
-    def shingles(self, text: str) -> set[int]:
-        """Hashed character shingles of a normalized text."""
-        normalized = strip_for_shingling(text)
+    def _clear_table(self) -> None:
+        self._row_of: dict[str, int] = {}
+        self._table = np.empty((0, self.n_hashes), dtype=np.int64)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_row_of"], state["_table"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._clear_table()
+
+    def _add_rows(self, shingles: list[str]) -> None:
+        """Give new shingles table rows holding their k hash values."""
+        start = len(self._row_of)
+        end = start + len(shingles)
+        self._row_of.update(zip(shingles, range(start, end)))
+        if end > len(self._table):
+            grown = np.empty(
+                (max(end, 2 * len(self._table)), self.n_hashes), np.int64
+            )
+            grown[:start] = self._table[:start]
+            self._table = grown
+        hashed = np.fromiter(
+            map(stable_hash64, shingles), dtype=np.int64, count=end - start
+        )
+        # int64 on purpose: the product wraps (see the module docstring).
+        self._table[start:end] = (
+            hashed[:, None] * self._a[None, :] + self._b[None, :]
+        ) % _MERSENNE_PRIME
+
+    def _signature_chunk(self, texts: list[str]) -> list[tuple[int, ...]]:
+        if len(self._row_of) >= _TABLE_CAP:
+            self._clear_table()
         k = self.shingle_size
-        if len(normalized) < k:
-            return {_stable_hash64_cached(normalized)}
-        hash_of = _stable_hash64_cached
-        return {
-            hash_of(normalized[i : i + k])
-            for i in range(len(normalized) - k + 1)
-        }
+        shingles: list[str] = []
+        starts: list[int] = []
+        for text in texts:
+            starts.append(len(shingles))
+            normalized = strip_for_shingling(text)
+            if len(normalized) < k:
+                shingles.append(normalized)
+            else:
+                shingles += [
+                    normalized[i : i + k]
+                    for i in range(len(normalized) - k + 1)
+                ]
+        row_of = self._row_of
+        new = [
+            shingle
+            for shingle in dict.fromkeys(shingles)
+            if shingle not in row_of
+        ]
+        if new:
+            self._add_rows(new)
+        rows = np.fromiter(
+            map(row_of.__getitem__, shingles),
+            dtype=np.intp,
+            count=len(shingles),
+        )
+        minima = np.minimum.reduceat(self._table[rows], starts, axis=0)
+        return [tuple(signature) for signature in minima.tolist()]
+
+    def signatures(self, texts: list[str]) -> list[tuple[int, ...]]:
+        """MinHash signatures of ``texts``, in order.
+
+        Each chunk of at most 256 texts costs one gather of its
+        shingles' table rows and one ``np.minimum.reduceat`` over them;
+        only shingles new to the table are hashed.
+        """
+        return [
+            signature
+            for start in range(0, len(texts), _CHUNK)
+            for signature in self._signature_chunk(
+                texts[start : start + _CHUNK]
+            )
+        ]
 
     def signature(self, text: str) -> tuple[int, ...]:
-        """MinHash signature of a text."""
-        shingles = np.fromiter(
-            sorted(self.shingles(text)), dtype=np.int64
-        )
-        # (k, s) universal hashes; min over shingles per function.
-        hashed = (
-            self._a[:, None] * shingles[None, :] + self._b[:, None]
-        ) % _MERSENNE_PRIME
-        return tuple(hashed.min(axis=1).tolist())
+        """MinHash signature of one text."""
+        return self.signatures([text])[0]
 
     def similarity(self, text_a: str, text_b: str) -> float:
         """Estimated Jaccard similarity: fraction of agreeing minima."""
-        sig_a = self.signature(text_a)
-        sig_b = self.signature(text_b)
+        sig_a, sig_b = self.signatures([text_a, text_b])
         agree = sum(a == b for a, b in zip(sig_a, sig_b))
         return agree / self.n_hashes
 
@@ -231,8 +297,10 @@ def _distinct_signatures(
 
     The signature is a pure function of the text and campaign blasts
     repeat texts heavily, so signatures are computed per distinct
-    string (in first-appearance order — positionally stable at any
-    worker count) and fanned back out.
+    string (in first-appearance order) and fanned back out.  The
+    distinct strings go to ``workers`` in chunks of at most 256, one
+    :meth:`MinHasher.signatures` call each, so results are
+    positionally identical at any worker count.
     """
     slot_of: dict[str, int] = {}
     distinct: list[str] = []
@@ -240,9 +308,17 @@ def _distinct_signatures(
         if text not in slot_of:
             slot_of[text] = len(distinct)
             distinct.append(text)
-    computed = parallel_map(
-        hasher.signature, distinct, workers=workers, label=label
-    )
+    chunks = [
+        distinct[start : start + _CHUNK]
+        for start in range(0, len(distinct), _CHUNK)
+    ]
+    computed = [
+        signature
+        for batch in parallel_map(
+            hasher.signatures, chunks, workers=workers, label=label
+        )
+        for signature in batch
+    ]
     return [computed[slot_of[text]] for text in texts]
 
 
@@ -258,13 +334,13 @@ def group_by_signature(
     Empty (post-normalization) texts are never grouped: a blank bio is
     not evidence of affiliation.
 
-    Signature computation — the O(text length x k) hot loop — runs
-    once per distinct text and fans out over ``workers`` pool
-    processes (0 = sequential; ``None`` defers to the ambient
-    :func:`repro.parallel.resolve_workers` rule).  Candidate pairs
-    come from LSH band buckets (:func:`group_signatures_banded`), not
-    an all-pairs scan; at the default ``threshold=1.0`` the groups are
-    bit-identical to exact-signature bucketing, at any worker count.
+    Signatures are computed once per distinct text, in chunks that
+    fan out over ``workers`` pool processes (0 = sequential; ``None``
+    defers to the ambient :func:`repro.parallel.resolve_workers`
+    rule).  Candidate pairs come from LSH band buckets
+    (:func:`group_signatures_banded`), not an all-pairs scan; at the
+    default ``threshold=1.0`` the groups are bit-identical to
+    exact-signature bucketing, at any worker count.
 
     Returns:
         Groups of indices, each of size >= 2.

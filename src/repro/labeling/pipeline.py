@@ -120,8 +120,8 @@ class GroundTruthLabeler:
             human pass samples (auditing all 100% is the paper's
             two-week effort; sampling models a bounded budget).
         minhash_seed: seed for the MinHash hash family.
-        workers: process-pool size for the clustering stages (dHash,
-            description MinHash, near-duplicate windows); 0 forces
+        workers: process-pool size for the MinHash clustering stages
+            (description MinHash, near-duplicate windows); 0 forces
             sequential, ``None`` defers to the ambient
             :func:`repro.parallel.resolve_workers` rule.  Groups are
             identical at every worker count.
@@ -292,16 +292,13 @@ class GroundTruthLabeler:
                 for uid in unique_users
                 if profile_of[uid].profile_image_id != DEFAULT_IMAGE_ID
             ]
-            # Avatars are fetched in the parent (the REST client wraps
-            # the live engine, which must not cross a process fork);
-            # only the pure hash computation fans out.
             images = [
                 self.rest.get_profile_image(
                     profile_of[uid].profile_image_id
                 )
                 for uid in image_users
             ]
-            hashes = dhash_many(images, workers=self.workers)
+            hashes = dhash_many(images)
             for group in group_by_dhash(hashes):
                 groups.append([image_users[i] for i in group])
             span.set(hashed=len(image_users), groups=len(groups))

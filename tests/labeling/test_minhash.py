@@ -1,16 +1,57 @@
 """Tests for MinHash near-duplicate detection."""
 
 import os
+import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from repro.features.textstats import strip_for_shingling
+from repro.labeling import minhash
 from repro.labeling.minhash import (
     MinHasher,
     group_by_signature,
     stable_hash64,
 )
+
+
+def _reference_signature(hasher: MinHasher, text: str) -> tuple[int, ...]:
+    """The per-text signature the batch kernel replaced."""
+    normalized = strip_for_shingling(text)
+    k = hasher.shingle_size
+    if len(normalized) < k:
+        hashed = {stable_hash64(normalized)}
+    else:
+        hashed = {
+            stable_hash64(normalized[i : i + k])
+            for i in range(len(normalized) - k + 1)
+        }
+    shingles = np.fromiter(sorted(hashed), dtype=np.int64)
+    values = (
+        hasher._a[:, None] * shingles[None, :] + hasher._b[:, None]
+    ) % minhash._MERSENNE_PRIME
+    return tuple(values.min(axis=1).tolist())
+
+
+_TEXTS = [
+    "",
+    "   ",
+    "a",
+    "ab",
+    "abc",
+    "🔥🔥🔥",
+    "🔥 😀 ✨",
+    "http://x.example/only-a-link",
+    "12345 67890",
+    "win big cash now",
+    "Win BIG cash! 🔥 http://a.example/1",
+    "join our amazing community for great daily deals",
+    "naïve café über straße",
+    "win big cash now",
+    "",
+] + [f"campaign blast number {i % 7} act fast friends" for i in range(40)]
 
 
 class TestMinHasher:
@@ -54,6 +95,95 @@ class TestMinHasher:
             MinHasher(n_hashes=0)
         with pytest.raises(ValueError):
             MinHasher(shingle_size=0)
+
+
+class TestSignaturesMatchReference:
+    """The batch kernel equals the per-text formula, text by text."""
+
+    @pytest.mark.parametrize(
+        "n_hashes, shingle_size, seed",
+        [(16, 3, 0), (32, 3, 5), (64, 2, 1), (7, 1, 2), (16, 5, 3)],
+    )
+    def test_signatures(self, n_hashes, shingle_size, seed):
+        hasher = MinHasher(n_hashes, shingle_size, seed)
+        expected = [_reference_signature(hasher, t) for t in _TEXTS]
+        assert hasher.signatures(_TEXTS) == expected
+        # Served from the now-filled table, and one text at a time.
+        assert hasher.signatures(_TEXTS) == expected
+        assert [hasher.signature(t) for t in _TEXTS] == expected
+
+    def test_more_texts_than_one_chunk(self):
+        texts = [f"deal {i} of {i % 13} for word{i % 97}" for i in range(700)]
+        hasher = MinHasher(seed=4)
+        assert hasher.signatures(texts) == [
+            _reference_signature(hasher, t) for t in texts
+        ]
+
+    def test_across_table_growth_and_reset(self, monkeypatch):
+        monkeypatch.setattr(minhash, "_TABLE_CAP", 40)
+        hasher = MinHasher(seed=9)
+        got, sizes = [], []
+        for start in range(0, len(_TEXTS), 6):
+            got += hasher.signatures(_TEXTS[start : start + 6])
+            sizes.append(len(hasher._row_of))
+        assert got == [_reference_signature(hasher, t) for t in _TEXTS]
+        # The table was cleared at least once and stays bounded by the
+        # cap plus one chunk's shingles.
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
+        assert max(sizes) <= 40 + 6 * max(map(len, _TEXTS))
+
+    def test_table_stays_out_of_pickles(self):
+        hasher = MinHasher(seed=6)
+        expected = hasher.signatures(_TEXTS)
+        clone = pickle.loads(pickle.dumps(hasher))
+        assert hasher._row_of and clone._row_of == {}
+        assert clone.signatures(_TEXTS) == expected
+
+    def test_empty_batch(self):
+        assert MinHasher().signatures([]) == []
+
+
+class TestGoldenSignature:
+    """Pins the hash family itself, independent of any reference code.
+
+    ``h_i(s) = (a_i * s + b_i) mod (2**61 - 1)`` is evaluated in int64,
+    so ``a_i * s + b_i`` wraps modulo ``2**64`` first.  A rewrite that
+    changes the arithmetic (exact or otherwise) moves these values, and
+    with them the labels.
+    """
+
+    def test_single_shingle_text(self):
+        hasher = MinHasher()
+        assert hasher.signature("abc") == (
+            1897459278513570036, 998221800559557733, 1603711347189006915,
+            1205433335077789252, 1522158782461163927, 247728683352800145,
+            1075431599734995433, 500726890149951581, 234190593398316197,
+            1032369216515859944, 66503805108178251, 1626063289148461129,
+            1960438182878346971, 442654713843091404, 1180551092632808182,
+            699020874596917086,
+        )
+
+    def test_multi_shingle_text(self):
+        hasher = MinHasher()
+        assert hasher.signature("Win big CASH now 🔥 http://x.example/1") == (
+            6454421931418146, 257197366534213701, 251985356267161140,
+            153030620239381758, 55017965932303999, 202909413429524310,
+            23655448970791312, 116329137653320343, 95056072856784060,
+            25922739944544213, 139792064466106311, 478714280725131161,
+            116537742215135046, 61104468969603587, 148349996996353149,
+            202192150117903293,
+        )
+
+    def test_family_is_not_exact_mod_p(self):
+        hasher = MinHasher()
+        s = stable_hash64("abc")
+        exact = [
+            (int(a) * s + int(b)) % minhash._MERSENNE_PRIME
+            for a, b in zip(hasher._a, hasher._b)
+        ]
+        assert all(
+            e != v for e, v in zip(exact, hasher.signature("abc"))
+        )
 
 
 class TestGrouping:

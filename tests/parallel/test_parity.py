@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.labeling.dhash import dhash_many
 from repro.labeling.minhash import MinHasher, group_by_signature
 from repro.labeling.neardup import group_near_duplicates
 from repro.ml.forest import RandomForestClassifier
@@ -187,10 +186,12 @@ class TestFaultedRunParity:
 
 
 class TestLabelingParity:
+    # More than one 256-text chunk of distinct texts, so the signature
+    # chunks really ship to pool workers.
     def test_minhash_groups_identical(self):
         texts = [
-            f"win free cash now today offer number {i % 7} act fast"
-            for i in range(60)
+            f"win free cash now today offer code x{i % 300} act fast"
+            for i in range(720)
         ] + ["a unique gardening story %d with detail" % i for i in range(9)]
         hasher = MinHasher(seed=5)
         assert group_by_signature(
@@ -200,20 +201,13 @@ class TestLabelingParity:
     def test_neardup_groups_identical(self):
         tweets = [
             _tweet(
-                f"join our amazing deal number {i % 5} right now friends",
-                at=float(i * 1800),
+                f"join our amazing deal code x{i % 300} right now friends",
+                at=float(i * 240),
                 uid=i,
             )
-            for i in range(48)
+            for i in range(720)
         ]
         hasher = MinHasher(seed=2)
         assert group_near_duplicates(
             tweets, hasher, workers=0
         ) == group_near_duplicates(tweets, hasher, workers=WORKERS)
-
-    def test_dhash_identical(self):
-        rng = np.random.default_rng(11)
-        images = [rng.integers(0, 256, size=(18, 18)) for __ in range(24)]
-        assert dhash_many(images, workers=0) == dhash_many(
-            images, workers=WORKERS
-        )
