@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..twittersim.api.streaming import StreamingClient
 from ..twittersim.engine import TwitterEngine
 from ..twittersim.entities import AccountState

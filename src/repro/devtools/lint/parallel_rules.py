@@ -42,7 +42,6 @@ from .symbols import (
     ModuleTable,
     ProjectIndex,
     Resolution,
-    SymbolDef,
 )
 
 #: Callables (matched on the last dotted segment) that ship their

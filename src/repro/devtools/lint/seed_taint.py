@@ -39,7 +39,7 @@ from .base import FileContext, FileRule, call_name
 from .determinism import WALLCLOCK_CALLS, _mentions_seed_or_rng
 from .findings import Finding
 from .parallel_rules import dotted_chain
-from .symbols import GraphRule, ModuleTable, ProjectIndex
+from .symbols import GraphRule, ProjectIndex
 
 #: Calls whose return value is host entropy — never a valid seed.
 ENTROPY_CALLS = WALLCLOCK_CALLS | frozenset(

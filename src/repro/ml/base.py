@@ -39,7 +39,8 @@ def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises:
         ValueError: on shape mismatch, empty data, non-finite features,
-            or labels outside {0, 1}.
+            or labels outside {0, 1} (including any label the int64
+            cast would change, such as 0.5 or NaN).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -55,11 +56,15 @@ def check_X_y(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("cannot fit on empty data")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains NaN or infinite values")
-    y = y.astype(np.int64)
-    labels = np.unique(y)
-    if not np.all(np.isin(labels, (0, 1))):
-        raise ValueError(f"labels must be binary 0/1, got {labels}")
-    return X, y
+    with np.errstate(invalid="ignore"):
+        labels = y.astype(np.int64)
+    if not np.array_equal(labels, y):
+        bad = y[labels != y][:3]
+        raise ValueError(f"labels must be whole numbers 0/1, got {bad}")
+    distinct = np.unique(labels)
+    if not np.all(np.isin(distinct, (0, 1))):
+        raise ValueError(f"labels must be binary 0/1, got {distinct}")
+    return X, labels
 
 
 def check_X(X: np.ndarray, n_features: int | None = None) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import check_X, check_X_y, require_fitted
-from .tree import _FlatTree, _HistogramBuilder, quantile_bin
+from .tree import _FlatTree, _LockstepBuilder, quantile_bin
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -80,7 +80,7 @@ class GradientBoostingClassifier:
                 indices = rng.choice(n, size=size, replace=False)
             else:
                 indices = np.arange(n)
-            builder = _HistogramBuilder(
+            builder = _LockstepBuilder(
                 codes,
                 edges,
                 residual,
@@ -89,9 +89,8 @@ class GradientBoostingClassifier:
                 min_samples_split=2 * self.min_samples_leaf,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=None,
-                rng=rng,
             )
-            tree = builder.build(indices)
+            tree = builder.grow([(indices, rng)])[0]
             self._newton_leaf_values(tree, X, residual, hessian, indices)
             raw += self.learning_rate * tree.predict_value(X)
             self.trees_.append(tree)

@@ -3,8 +3,11 @@
 The paper's deployed detector: RF with 70 trees and a depth cap of 700
 (Section V-C) wins the Table-IV comparison with precision 0.974 and
 false-positive rate 0.002.  This implementation bins the feature matrix
-once and grows all bootstrap trees on the shared binning, which is what
-keeps a 70-tree forest tractable in pure numpy.
+once and grows all bootstrap trees together on the shared binning:
+:class:`repro.ml.tree._LockstepBuilder` advances every tree's
+depth-first walk one node per step and searches all those nodes'
+splits in a few batched numpy passes, which is what keeps a 70-tree
+forest tractable in pure numpy.
 """
 
 from __future__ import annotations
@@ -15,59 +18,38 @@ import numpy as np
 
 from ..parallel import parallel_map, resolve_workers
 from .base import check_X, check_X_y, require_fitted
-from .tree import _FlatTree, _HistogramBuilder, quantile_bin
+from .tree import (
+    _FlatTree,
+    _LockstepBuilder,
+    quantile_bin,
+    resolve_max_features,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .compiled import CompiledForest
 
 
 class _TreeFitter:
-    """Picklable per-tree fit task: tree index ``b`` -> built tree.
+    """Picklable forest fit task: a chunk of tree indices -> trees.
 
-    Holds the shared binning and parameters once; ``parallel_map``
-    ships one copy per chunk to pool workers.  Because tree ``b``
-    derives its Generator from ``seed + b`` alone, the built tree is
-    independent of which process (or order) runs it — the property
-    that makes the parallel forest bit-identical to the sequential
-    one.
+    Holds the shared builder once; ``parallel_map`` ships one copy per
+    chunk to pool workers, and each chunk's trees grow in lockstep.
+    Tree ``b`` draws its bootstrap and candidate features from a
+    Generator seeded with ``seed + b`` alone, so a built tree does not
+    depend on which chunk or process grows it — the property that
+    makes the forest bit-identical at every worker count.
     """
 
-    def __init__(
-        self,
-        codes: np.ndarray,
-        edges: list[np.ndarray],
-        y: np.ndarray,
-        max_depth: int,
-        min_samples_split: int,
-        min_samples_leaf: int,
-        max_features: int | None,
-        seed: int,
-    ) -> None:
-        self.codes = codes
-        self.edges = edges
-        self.y = y
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
+    def __init__(self, builder: _LockstepBuilder, seed: int) -> None:
+        self.builder = builder
         self.seed = seed
 
-    def __call__(self, b: int) -> _FlatTree:
-        n = self.codes.shape[0]
-        rng = np.random.default_rng(self.seed + b)
-        bootstrap = rng.integers(0, n, size=n)
-        builder = _HistogramBuilder(
-            self.codes,
-            self.edges,
-            self.y,
-            criterion="gini",
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            rng=rng,
+    def __call__(self, chunk: range) -> list[_FlatTree]:
+        n = len(self.builder.y)
+        rngs = (np.random.default_rng(self.seed + b) for b in chunk)
+        return self.builder.grow(
+            (rng.integers(0, n, size=n), rng) for rng in rngs
         )
-        return builder.build(bootstrap)
 
 
 class RandomForestClassifier:
@@ -82,7 +64,8 @@ class RandomForestClassifier:
         max_bins: histogram resolution shared by all trees.
         seed: master seed; tree b uses seed + b for bootstrap and
             feature subsampling.
-        workers: process-pool size for fitting trees; 0 forces
+        workers: process-pool size for fitting trees (the pool grows
+            one contiguous chunk of trees per worker); 0 forces
             sequential, ``None`` defers to the ambient
             :func:`repro.parallel.resolve_workers` rule.  Fitted
             trees (and therefore predictions) are bit-identical at
@@ -114,43 +97,47 @@ class RandomForestClassifier:
         self.n_features_: int | None = None
         self._compiled = None
 
-    def _resolve_max_features(self, d: int) -> int | None:
-        if self.max_features is None:
-            return None
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(d)))
-        if isinstance(self.max_features, int) and self.max_features > 0:
-            return min(self.max_features, d)
-        raise ValueError(f"bad max_features {self.max_features!r}")
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         """Fit all trees on bootstrap resamples; returns self.
 
-        Bootstrap trees are independent given the shared binning, so
-        with an effective ``workers > 1`` they fan out over a process
-        pool; results are gathered in tree order and are bit-identical
-        to the sequential fit (each tree's RNG is ``seed + b``).
+        The trees grow in lockstep over the shared binning.  With an
+        effective ``workers > 1`` the tree indices split into one
+        contiguous chunk per worker, each chunk growing in lockstep on
+        a pool worker; results are gathered in tree order and are
+        bit-identical to the sequential fit (each tree's RNG is
+        ``seed + b``).
         """
         X, y = check_X_y(X, y)
         __, d = X.shape
         self.n_features_ = d
         codes, edges = quantile_bin(X, self.max_bins)
-        fitter = _TreeFitter(
+        builder = _LockstepBuilder(
             codes,
             edges,
             y,
+            criterion="gini",
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
-            max_features=self._resolve_max_features(d),
-            seed=self.seed,
+            max_features=resolve_max_features(self.max_features, d),
         )
-        self.trees_ = parallel_map(
-            fitter,
-            range(self.n_estimators),
-            workers=resolve_workers(self.workers),
-            label="forest_fit",
-        )
+        workers = resolve_workers(self.workers)
+        total = self.n_estimators
+        n_chunks = max(1, min(workers, total))
+        chunks = [
+            range(total * i // n_chunks, total * (i + 1) // n_chunks)
+            for i in range(n_chunks)
+        ]
+        self.trees_ = [
+            tree
+            for trees in parallel_map(
+                _TreeFitter(builder, self.seed),
+                chunks,
+                workers=workers,
+                label="forest_fit",
+            )
+            for tree in trees
+        ]
         self._compiled = None
         return self
 

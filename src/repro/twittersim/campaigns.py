@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entities import AccountState, TweetSource
+from .entities import AccountState
 from .hashtags import HashtagCategory
 
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.ml.base import NotFittedError
+from repro.ml.boosting import GradientBoostingClassifier
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
     quantile_bin,
+    resolve_max_features,
 )
 
 
@@ -33,6 +36,18 @@ class TestQuantileBin:
         codes, edges = quantile_bin(X, max_bins=8)
         assert len(edges[0]) == 0
         assert (codes[:, 0] == 0).all()
+
+    @pytest.mark.parametrize("max_bins", [-1, 0, 1, 32769, 40000])
+    def test_rejects_max_bins_outside_int16_codes(self, max_bins):
+        X = np.arange(50_000, dtype=float).reshape(-1, 1)
+        with pytest.raises(ValueError, match="max_bins"):
+            quantile_bin(X, max_bins=max_bins)
+
+    def test_largest_max_bins_keeps_codes_in_range(self):
+        X = np.arange(50_000, dtype=float).reshape(-1, 1)
+        codes, edges = quantile_bin(X, max_bins=32768)
+        assert codes.min() == 0
+        assert codes.max() == len(edges[0]) <= 32767
 
     def test_code_edge_consistency(self):
         """code <= b  ⟺  value <= edges[b] (the split contract)."""
@@ -146,3 +161,70 @@ class TestDecisionTreeRegressor:
         a = DecisionTreeRegressor(max_depth=4).fit(X, y)
         b = DecisionTreeRegressor(max_depth=4).fit(X, y, precomputed=pre)
         assert np.allclose(a.predict(X), b.predict(X))
+
+
+class TestTrainingInputChecks:
+    """Bad training input fails loudly instead of being coerced."""
+
+    FRACTIONAL = np.array([0.5, 1.7, 0.2, 1.0, 0.0, 1.9])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            DecisionTreeClassifier,
+            lambda: RandomForestClassifier(n_estimators=2),
+            lambda: GradientBoostingClassifier(n_estimators=2),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "labels", [FRACTIONAL, np.array([0, 1, np.nan, 1, 0, 1])]
+    )
+    def test_classifiers_reject_labels_the_cast_would_change(
+        self, make, labels
+    ):
+        X = np.arange(12, dtype=float).reshape(6, 2)
+        with pytest.raises(ValueError, match="whole numbers"):
+            make().fit(X, labels)
+
+    def test_classifiers_accept_whole_float_and_bool_labels(self):
+        X = np.arange(12, dtype=float).reshape(6, 2)
+        labels = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        a = DecisionTreeClassifier().fit(X, labels)
+        b = DecisionTreeClassifier().fit(X, labels.astype(bool))
+        assert np.array_equal(a.tree_.value, b.tree_.value)
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_regressor_rejects_non_finite_input(self, where, bad):
+        X = np.arange(20, dtype=float).reshape(10, 2)
+        y = np.arange(10, dtype=float)
+        (X if where == "X" else y)[3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DecisionTreeRegressor().fit(X, y)
+
+
+class TestResolveMaxFeatures:
+    def test_resolves_none_sqrt_and_ints(self):
+        assert resolve_max_features(None, 58) is None
+        assert resolve_max_features("sqrt", 58) == 7
+        assert resolve_max_features("sqrt", 1) == 1
+        assert resolve_max_features(3, 58) == 3
+        assert resolve_max_features(99, 58) == 58
+
+    @pytest.mark.parametrize("bad", [True, False, 0, -2, 1.5, "log2"])
+    def test_rejects_other_values(self, bad):
+        with pytest.raises(ValueError, match="max_features"):
+            resolve_max_features(bad, 10)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DecisionTreeClassifier(max_features=True),
+            lambda: DecisionTreeRegressor(max_features=True),
+            lambda: RandomForestClassifier(n_estimators=2, max_features=True),
+        ],
+    )
+    def test_estimators_reject_bool_max_features(self, make):
+        X, y = separable_data(n=60)
+        with pytest.raises(ValueError, match="max_features"):
+            make().fit(X, y)
