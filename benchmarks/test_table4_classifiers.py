@@ -7,7 +7,6 @@ the deployed detector.  Shape to reproduce: the ensemble tree methods
 and kNN trail.
 """
 
-import numpy as np
 import pytest
 from conftest import save_result
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..twittersim.api.rest import RestClient
 from ..twittersim.clock import SECONDS_PER_DAY
+from ..twittersim.columnar import AccountColumns
 from ..twittersim.entities import Tweet, UserProfile
 from ..twittersim.hashtags import HASHTAG_POOLS
 from .attributes import (
@@ -144,34 +145,8 @@ class SelectionReport:
             self.shortfalls[label] = requested - got
 
 
-def _candidate_base_arrays(candidates: list[UserProfile]) -> dict:
-    """Columnized counters of the round's candidate profiles."""
-    n = len(candidates)
-    created = np.empty(n, dtype=np.float64)
-    friends = np.empty(n, dtype=np.int64)
-    followers = np.empty(n, dtype=np.int64)
-    statuses = np.empty(n, dtype=np.int64)
-    listed = np.empty(n, dtype=np.int64)
-    favourites = np.empty(n, dtype=np.int64)
-    for i, p in enumerate(candidates):
-        created[i] = p.created_at
-        friends[i] = p.friends_count
-        followers[i] = p.followers_count
-        statuses[i] = p.statuses_count
-        listed[i] = p.listed_count
-        favourites[i] = p.favourites_count
-    return {
-        "created": created,
-        "friends": friends,
-        "followers": followers,
-        "statuses": statuses,
-        "listed": listed,
-        "favourites": favourites,
-    }
-
-
 class _CandidateColumns:
-    """Columnar candidate set: account-store rows instead of snapshots.
+    """Candidate set as account-store rows instead of snapshots.
 
     The profile-selection loop only ever needs three things from a
     candidate: its attribute-value columns (gathered straight off the
@@ -179,12 +154,12 @@ class _CandidateColumns:
     screen name.  Keeping candidates as row indices skips ~pool-size
     ``UserProfile`` constructions per round; the gathered columns are
     the same arrays a snapshot would copy its fields from, so every
-    derived value is bitwise-identical to the object path.
+    derived value equals the scalar ``AttributeSpec.value_of`` one.
     """
 
     __slots__ = ("cols", "rows", "uids", "_base", "_profiles")
 
-    def __init__(self, cols, rows: list[int]) -> None:
+    def __init__(self, cols: AccountColumns, rows: list[int]) -> None:
         self.cols = cols
         self.rows = rows
         idx = np.array(rows, dtype=np.intp)
@@ -196,7 +171,7 @@ class _CandidateColumns:
         return len(self.rows)
 
     def base_arrays(self) -> dict:
-        """Gathered counter columns, shaped like ``_candidate_base_arrays``."""
+        """Gathered counter columns, keyed by short counter name."""
         if self._base is None:
             arrays = self.cols._arrays
             idx = np.array(self.rows, dtype=np.intp)
@@ -214,7 +189,11 @@ class _CandidateColumns:
         return self.cols.screen_name[self.rows[i]]
 
     def profiles(self) -> list[UserProfile]:
-        """Materialized snapshots (only the unknown-attribute fallback)."""
+        """Materialized snapshots, for a caller's own ``AttributeSpec``.
+
+        Only attribute keys :func:`_batch_attribute_values` does not
+        know take this scalar ``value_of`` fallback.
+        """
         if self._profiles is None:
             self._profiles = self.cols.snapshot_rows(self.rows)
         return self._profiles
@@ -535,97 +514,60 @@ class AttributeSelector:
 
     def _profile_candidates(
         self, now: float, recent_index: dict
-    ) -> list[UserProfile] | _CandidateColumns:
+    ) -> _CandidateColumns:
         """Sample, look up, and activity-filter profile candidates.
 
-        With a columnar account store the candidate set stays as row
-        indices end to end (:class:`_CandidateColumns`); the object
-        path below is the array-free fallback and the behavioral
-        reference.
+        The candidate set stays as account-store row indices end to
+        end: batch lookups return rows, and attribute screening
+        gathers columns at those rows.
         """
         ids = self.rest.sample_user_ids(self.candidate_pool)
-        batches = range(0, len(ids), RestClient.LOOKUP_BATCH)
-        first_rows = self.rest.lookup_user_rows(
-            ids[: RestClient.LOOKUP_BATCH]
-        )
-        if first_rows is not None:
-            rows = list(first_rows)
-            for start in batches[1:]:
-                rows.extend(
-                    self.rest.lookup_user_rows(
-                        ids[start : start + RestClient.LOOKUP_BATCH]
-                    )
-                )
-            candidates = _CandidateColumns(
-                self.rest.account_columns, rows
+        batch = RestClient.LOOKUP_BATCH
+        rows = self.rest.lookup_user_rows(ids[:batch])
+        for start in range(batch, len(ids), batch):
+            rows.extend(
+                self.rest.lookup_user_rows(ids[start : start + batch])
             )
-            if self.activity is None:
-                return candidates
-            last_post = recent_index["author_last_post"]
-            is_active_from_history = self.activity.is_active_from_history
-            is_active = self.activity.is_active
-            kept = [
-                row
-                for row, uid in zip(candidates.rows, candidates.uids)
-                if is_active_from_history(last_post.get(uid), now)
-                or is_active(self.rest, uid, now)
-            ]
-            if len(kept) == len(candidates.rows):
-                return candidates
-            return _CandidateColumns(candidates.cols, kept)
-        profiles: list[UserProfile] = []
-        for start in batches:
-            profiles.extend(
-                self.rest.lookup_users(
-                    ids[start : start + RestClient.LOOKUP_BATCH]
-                )
-            )
+        candidates = _CandidateColumns(self.rest.account_columns, rows)
         if self.activity is None:
-            return profiles
+            return candidates
         last_post = recent_index["author_last_post"]
-        return [
-            p
-            for p in profiles
-            if self.activity.is_active_from_history(
-                last_post.get(p.user_id), now
-            )
-            or self.activity.is_active(self.rest, p.user_id, now)
+        is_active_from_history = self.activity.is_active_from_history
+        is_active = self.activity.is_active
+        kept = [
+            row
+            for row, uid in zip(candidates.rows, candidates.uids)
+            if is_active_from_history(last_post.get(uid), now)
+            or is_active(self.rest, uid, now)
         ]
+        if len(kept) == len(candidates.rows):
+            return candidates
+        return _CandidateColumns(candidates.cols, kept)
 
     def _select_profile(
         self,
         target: ProfileTarget,
         now: float,
-        candidates: list[UserProfile] | _CandidateColumns,
+        candidates: _CandidateColumns,
         used: set[int],
         nodes: list[HoneypotNode],
         value_cache: dict[str, np.ndarray] | None = None,
     ) -> int:
-        colset = (
-            candidates if isinstance(candidates, _CandidateColumns) else None
-        )
         matches: list[tuple[float, int, int]] = []
         log_tol = math.log(self.tolerance)
         if value_cache is None:
             value_cache = {}
         values = value_cache.get(target.spec.key)
         if values is None:
-            if colset is not None:
-                base = colset.base_arrays()
-            else:
-                base = value_cache.get("__base__")
-                if base is None:
-                    base = _candidate_base_arrays(candidates)
-                    value_cache["__base__"] = base
-            batched = _batch_attribute_values(target.spec.key, base, now)
-            if batched is not None:
-                values = batched
-            else:
-                profiles = (
-                    colset.profiles() if colset is not None else candidates
-                )
+            values = _batch_attribute_values(
+                target.spec.key, candidates.base_arrays(), now
+            )
+            if values is None:
                 values = np.array(
-                    [target.spec.value_of(p, now) for p in profiles],
+                    [
+                        target.spec.value_of(p, now)
+                        for p in candidates.profiles()
+                    ],
                     dtype=np.float64,
                 )
             value_cache[target.spec.key] = values
@@ -653,20 +595,13 @@ class AttributeSelector:
             approx = np.abs(logs - math.log(target.value))
         near = np.nonzero((values > 0) & (approx <= log_tol + 1e-6))[0]
         # The confirm loop runs over plain Python floats/ints: the
-        # unboxed lists are cached per attribute key (and per round
-        # for the uids), so repeated targets pay only the loop itself.
+        # unboxed values are cached per attribute key, so repeated
+        # targets pay only the loop itself.
         vals_key = target.spec.key + "\x00vals"
         vals = value_cache.get(vals_key)
         if vals is None:
             vals = value_cache[vals_key] = values.tolist()
-        uids = value_cache.get("\x00uids")
-        if uids is None:
-            uids = (
-                colset.uids
-                if colset is not None
-                else [profile.user_id for profile in candidates]
-            )
-            value_cache["\x00uids"] = uids
+        uids = candidates.uids
         target_value = target.value
         for ii in near.tolist():
             uid = uids[ii]
@@ -678,15 +613,10 @@ class AttributeSelector:
         matches.sort(key=lambda entry: (entry[0], entry[1]))
         got = 0
         for __, uid, ii in matches[: target.count]:
-            screen_name = (
-                colset.screen_name(ii)
-                if colset is not None
-                else candidates[ii].screen_name
-            )
             nodes.append(
                 HoneypotNode(
                     user_id=uid,
-                    screen_name=screen_name,
+                    screen_name=candidates.screen_name(ii),
                     attribute_key=target.spec.key,
                     sample_label=target.sample_label,
                     category=AttributeCategory.PROFILE,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..columnar import AccountColumns
 from ..engine import TwitterEngine
 from ..entities import Tweet, UserProfile
 from ..errors import RateLimitError, UserNotFoundError, UserSuspendedError
@@ -119,34 +120,19 @@ class RestClient:
         Raises:
             ValueError: if more than ``LOOKUP_BATCH`` ids are passed.
         """
-        if len(user_ids) > self.LOOKUP_BATCH:
-            raise ValueError(
-                f"lookup_users accepts at most {self.LOOKUP_BATCH} ids"
-            )
         rows = self.lookup_user_rows(user_ids)
-        if rows is not None:
-            return self._engine.population.cols.snapshot_rows(rows)
-        self._gate(self.USERS_LOOKUP)
-        population = self._engine.population
-        profiles = []
-        for user_id in user_ids:
-            account = population.accounts.get(user_id)
-            if account is not None and not account.suspended:
-                profiles.append(account.snapshot())
-        return profiles
+        return self._engine.population.cols.snapshot_rows(rows)
 
-    def lookup_user_rows(self, user_ids: list[int]) -> list[int] | None:
-        """Columnar ``lookup_users``: surviving row indices, not objects.
+    def lookup_user_rows(self, user_ids: list[int]) -> list[int]:
+        """``lookup_users`` as account-store row indices, not profiles.
 
-        Resolves ids against the account store's columnar arrays and
-        screens suspension without materializing profile snapshots —
-        callers that only need column reads (e.g. the selection layer's
-        attribute screening) skip object construction entirely.  Gates
-        and filters exactly like :meth:`lookup_users`.
-
-        Returns ``None`` (without consuming a rate-limit slot) when the
-        population has no columnar store; callers fall back to
-        :meth:`lookup_users`.
+        Resolves ids to rows of the population's
+        :class:`~repro.twittersim.columnar.AccountColumns` and screens
+        suspension there, in input order, without building profile
+        snapshots: callers that only read columns (the selection
+        layer's attribute screening) read them straight off
+        :attr:`account_columns`.  Gates and filters exactly like
+        :meth:`lookup_users`, and always returns a list.
 
         Raises:
             ValueError: if more than ``LOOKUP_BATCH`` ids are passed.
@@ -155,13 +141,10 @@ class RestClient:
             raise ValueError(
                 f"lookup_users accepts at most {self.LOOKUP_BATCH} ids"
             )
-        population = self._engine.population
-        cols = population.cols
-        if cols is None:
-            return None
         self._gate(self.USERS_LOOKUP)
+        population = self._engine.population
         index_of = population.index_of
-        suspended = cols._arrays["suspended"]
+        suspended = population.cols._arrays["suspended"]
         return [
             row
             for row in (index_of.get(uid) for uid in user_ids)
@@ -169,8 +152,8 @@ class RestClient:
         ]
 
     @property
-    def account_columns(self):
-        """The population's columnar account store (None in object mode)."""
+    def account_columns(self) -> AccountColumns:
+        """The population's account store; rows index its columns."""
         return self._engine.population.cols
 
     def is_suspended(self, user_id: int) -> bool:

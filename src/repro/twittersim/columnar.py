@@ -1,21 +1,19 @@
 """Columnar account storage: the million-account data plane.
 
-The object data plane (one :class:`~repro.twittersim.entities.AccountState`
-per account) tops out around 10^4 accounts: every per-hour engine phase
-chases Python attributes across the whole population.  This module
-stores the mutable account state as a numpy struct-of-arrays keyed by
-dense row index, so the hot engine phases (activity draws, suspension
-hazard, counter growth, victim scoring) run as vectorized column
-operations, while thin :class:`AccountView` objects preserve the exact
-``AccountState`` attribute API for everything else (REST surface,
-feature extractors, campaigns, tests).
+The population's one account store.  Mutable account state is a numpy
+struct-of-arrays keyed by dense row index, so the hot engine phases
+(activity draws, suspension hazard, counter growth, victim scoring)
+run as vectorized column operations, while thin :class:`AccountView`
+objects keep the :class:`~repro.twittersim.entities.AccountState`
+attribute API for everything else (REST surface, feature extractors,
+campaigns, tests).  ``build_population`` appends accounts straight
+into the columns; ``AccountState`` survives only as the record a
+single registration appends.
 
 Determinism contract: views return plain Python ``int``/``float``/
 ``bool`` scalars, and every vectorized engine path consumes the master
-RNG in exactly the same order as the per-object code it replaces, so a
-columnar run is bitwise identical to an object-mode run of the same
-seed (enforced by the parity suite in
-``tests/twittersim/test_columnar_parity.py``).
+RNG in a fixed order, so the same seed gives the same bytes (pinned by
+the golden digests in ``tests/golden/test_world_digests.py``).
 
 Layout summary (see DESIGN.md §14):
 
@@ -23,9 +21,9 @@ Layout summary (see DESIGN.md §14):
   ``int64`` / ``bool``), one row per account, append-only;
 - identity strings (screen name, display name, description): plain
   Python lists, row-aligned;
-- user id -> row: dense dict (ids are allocated densely by the
-  population builder, but operator-registered accounts may carry
-  arbitrary ids, so the indirection stays);
+- user id -> row: dense dict (ids are allocated densely, but an
+  operator account registers its id after other ids may have been
+  allocated, so the indirection stays);
 - follow graph: int32 CSR arrays over *rows* (:class:`CSRGraph`);
 - per-hour tweet records: :class:`TweetColumns` struct-of-arrays, the
   wire format of the sharded hour loop.
@@ -132,6 +130,22 @@ class AccountColumns:
         self.n = row + 1
         return row
 
+    def extend(self, **fields) -> None:
+        """Append a block of rows, one equal-length sequence per field.
+
+        Every string column is required; an omitted numeric column keeps
+        its fill value (``suspended`` False, timestamps ``-inf``).
+        """
+        start = self.n
+        end = start + len(fields["user_id"])
+        if end > self._capacity:
+            self._grow_to(end)
+        for name in ACCOUNT_STRING_COLUMNS:
+            getattr(self, name).extend(fields.pop(name))
+        for name, values in fields.items():
+            self._arrays[name][start:end] = values
+        self.n = end
+
     # -- array access -----------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
@@ -192,8 +206,9 @@ class AccountView:
 
     Duck-types :class:`~repro.twittersim.entities.AccountState`: every
     attribute read returns a plain Python scalar (so downstream
-    formatting, hashing, and JSON stay bitwise identical to object
-    mode) and every attribute write lands in the backing column.
+    formatting, hashing, and JSON see the same types an
+    ``AccountState`` holds) and every attribute write lands in the
+    backing column.
     """
 
     __slots__ = ("_cols", "_row")

@@ -74,10 +74,6 @@ class SimulationConfig:
     # graph (replies come from followers) instead of uniform sampling.
     use_follow_graph: bool = False
     follow_graph_mean_degree: float = 12.0
-    # Store account state as flat numpy columns with thin views
-    # (bitwise-identical to object mode; see the columnar parity
-    # suite).  Object mode remains only as the parity baseline.
-    columnar: bool = True
     # Shard the per-hour emission loop by account range across this
     # many workers (0 = legacy single-stream path).  Sharded streams
     # are bit-identical across worker counts but differ from the

@@ -335,12 +335,7 @@ class TwitterEngine:
         self._session_on = np.where(
             self._session_on, draws >= p_off, draws < p_on
         )
-        always_on = pop.always_on
-        if len(always_on) < n:
-            padded = np.zeros(n, dtype=bool)
-            padded[: len(always_on)] = always_on
-            always_on = padded
-        return self._session_on | always_on
+        return self._session_on | pop.always_on
 
     def _emit_organic_posts(
         self, t0: float, t_end: float, hour: int, stats: HourStats
@@ -349,8 +344,7 @@ class TwitterEngine:
         on = self._update_sessions()
         scale = on.astype(np.float64) / pop.config.session_on_fraction
         # always-on accounts post at their nominal rate, not scaled up.
-        if len(pop.always_on) == len(scale):
-            scale[pop.always_on] = 1.0
+        scale[pop.always_on] = 1.0
         rates = pop.post_rate_per_day * scale / 24.0
         counts = self.rng.poisson(rates)
         posting = np.nonzero(counts)[0]
@@ -358,7 +352,7 @@ class TwitterEngine:
             # Suspended accounts never post and consume no draws, so
             # filtering them out up front is stream-identical to the
             # per-account check it replaces.
-            suspended = np.asarray(pop.suspended_flags())
+            suspended = pop.suspended_flags()
             posting = posting[~suspended[posting]]
         topic_weights = self.topic_process.weights_at(hour)
         topic_probs = topic_weights / topic_weights.sum()
@@ -390,13 +384,11 @@ class TwitterEngine:
         t0: float,
         t_end: float,
         topic_cdf: list[float],
-        user_id: int | None = None,
-        idx: int | None = None,
+        user_id: int,
+        idx: int,
     ) -> Tweet:
         rng = self.rng
         pop = self.population
-        if user_id is None:
-            user_id = account.user_id
         # low + range * next_double is exactly what Generator.uniform
         # computes; spelling it out skips the broadcast machinery.
         created_at = t0 + (t_end - t0) * rng.random()
@@ -414,15 +406,7 @@ class TwitterEngine:
                 picks = rng.choice(len(pool), size=2, replace=False)
                 hashtags = tuple(pool[int(j)] for j in picks)
         topic: str | None = None
-        if idx is None:
-            idx = pop.index_of[user_id]
-        topic_affinity = pop.topic_affinity
-        affinity = (
-            topic_affinity.item(idx)
-            if idx < len(topic_affinity)
-            else 0.0
-        )
-        if rng.random() < affinity:
+        if rng.random() < pop.topic_affinity.item(idx):
             # Identical to choice(len(p), p=p): one uniform draw against
             # the hoisted cumulative distribution.
             topic = self.topic_process.topics[
@@ -634,47 +618,21 @@ class TwitterEngine:
             in_reply_to=victim_post,
         )
 
-    def _victim_score(self, post: Tweet) -> float:
-        account = self.population.accounts.get(post.user.user_id)
-        if account is None or account.suspended:
-            return 0.0
-        if self._score_cache_hour != self.clock.hour:
-            self._score_cache.clear()
-            self._score_cache_hour = self.clock.hour
-        base = self._score_cache.get(account.user_id)
-        if base is None:
-            base = self.taste.profile_score(account, self.clock.now)
-            self._score_cache[account.user_id] = base
-        category: HashtagCategory | None = None
-        if post.hashtags:
-            category = category_of(post.hashtags[0])
-        trending_status = self.trending_status_of(post.topic)
-        # Profile taste concentrates (** concentration); posting context
-        # scales linearly.  Cubing the context too would let a mediocre
-        # account with one trending hashtag out-attract the accounts
-        # whose *profiles* match spammer tastes, inverting Table V.
-        return (
-            base ** self.taste.weights.concentration
-        ) * self.taste.context_multiplier(category, trending_status)
-
     def _victim_weights(self, candidates: list[Tweet]) -> np.ndarray:
         """Taste weights for all victim candidates, column-wise.
 
-        In columnar mode the uncached profile base scores are computed
-        in one :meth:`SpammerTasteModel.profile_score_batch` call over
-        the candidate rows; the per-post context multipliers stay
-        scalar.  Object mode falls back to per-post scoring.
+        The uncached profile base scores are computed in one
+        :meth:`SpammerTasteModel.profile_score_batch` call over the
+        candidate rows; the per-post context multipliers stay scalar.
+        Suspended and unknown authors weigh 0.
         """
         pop = self.population
-        cols = pop.cols
-        if cols is None:
-            return np.array([self._victim_score(p) for p in candidates])
         if self._score_cache_hour != self.clock.hour:
             self._score_cache.clear()
             self._score_cache_hour = self.clock.hour
         cache = self._score_cache
         index_of = pop.index_of
-        arrays = cols._arrays
+        arrays = pop.cols._arrays
         suspended = arrays["suspended"]
         rows = [index_of.get(p.user.user_id, -1) for p in candidates]
         need: list[tuple[int, int]] = []
@@ -705,6 +663,11 @@ class TwitterEngine:
             category: HashtagCategory | None = None
             if post.hashtags:
                 category = category_of(post.hashtags[0])
+            # Profile taste concentrates (** concentration); posting
+            # context scales linearly.  Cubing the context too would let
+            # a mediocre account with one trending hashtag out-attract
+            # the accounts whose *profiles* match spammer tastes,
+            # inverting Table V.
             weights[i] = (
                 cache[post.user.user_id] ** concentration
             ) * self.taste.context_multiplier(
@@ -767,13 +730,7 @@ class TwitterEngine:
         pop = self.population
         counts = self.rng.poisson(pop.fav_rate_per_day / 24.0)
         grew = np.nonzero(counts)[0]
-        if pop.cols is not None:
-            favourites = pop.cols.favourites_count
-            favourites[grew] += counts[grew]
-            return
-        for idx in grew:
-            account = pop.accounts[pop.order[idx]]
-            account.favourites_count += int(counts[idx])
+        pop.cols.favourites_count[grew] += counts[grew]
 
     def _run_suspension(self) -> int:
         """Per-account suspension hazard, vectorized by segments.
@@ -795,7 +752,7 @@ class TwitterEngine:
         # Snapshot is safe for positions < n0: processing a position
         # never changes another position's flags, and respawns only
         # append past n0.
-        live = ~np.asarray(pop.suspended_flags()[:n0])
+        live = ~pop.suspended_flags()[:n0]
         rates = np.where(
             pop.spam_hazard[:n0],
             config.spam_suspension_rate,

@@ -16,13 +16,14 @@ is never exposed through public records.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .campaigns import Campaign, make_campaign
 from .clock import days
-from .columnar import AccountColumns, AccountMap
+from .columnar import AccountColumns, AccountMap, AccountView
 from .config import SimulationConfig
 from .entities import AccountState
 from .hashtags import HashtagCategory
@@ -112,19 +113,18 @@ class Population:
     expose the live ``[:n]`` slice, which aliases the buffer and is
     therefore writable in place.
 
-    When ``config.columnar`` is set (the default), account state lives
-    in :class:`~repro.twittersim.columnar.AccountColumns` and
+    Account state lives in ``cols``, an
+    :class:`~repro.twittersim.columnar.AccountColumns` store, and
     ``accounts`` is an :class:`~repro.twittersim.columnar.AccountMap`
-    of thin views; otherwise it is a plain dict of
-    :class:`~repro.twittersim.entities.AccountState` objects.  Both
-    modes are bitwise-identical in behavior (see the columnar parity
-    suite); row index in the columns always equals ``index_of[uid]``.
+    of thin views over it.  Row index in the columns always equals
+    ``index_of[uid]``: ``_register`` grows ``order``, the columns and
+    the per-position arrays together.
     """
 
     def __init__(
         self,
         config: SimulationConfig,
-        accounts: dict[int, AccountState],
+        cols: AccountColumns,
         order: list[int],
         index_of: dict[int, int],
         post_rate_per_day: np.ndarray,
@@ -142,7 +142,8 @@ class Population:
         _next_user_id: int = 0,
     ) -> None:
         self.config = config
-        self.accounts = accounts
+        self.cols = cols
+        self.accounts = AccountMap(cols, index_of)
         self.order = order
         self.index_of = index_of
         self.interests = interests
@@ -154,7 +155,6 @@ class Population:
         self.rng = rng
         self.names = names
         self._next_user_id = _next_user_id
-        self.cols: AccountColumns | None = None
         n = len(order)
         self._n_rows = n
         capacity = max(n, 1)
@@ -218,42 +218,20 @@ class Population:
             grown[: self._n_rows] = old[: self._n_rows]
             setattr(self, attr, grown)
 
-    # -- columnar backend --------------------------------------------------
-
-    def to_columnar(self) -> None:
-        """Move account state into columns; ``accounts`` becomes views.
-
-        Row index equals registration order, i.e. ``index_of[uid]``.
-        """
-        cols = AccountColumns(capacity=max(len(self.order), 1))
-        for uid in self.order:
-            cols.append_state(self.accounts[uid])
-        self.cols = cols
-        self.accounts = AccountMap(cols, self.index_of)
-
     def suspended_flags(self) -> np.ndarray:
-        """Per-position suspension flags (columnar: aliasing view)."""
-        if self.cols is not None:
-            return self.cols.suspended
-        flags = np.empty(len(self.order), dtype=bool)
-        for i, uid in enumerate(self.order):
-            flags[i] = self.accounts[uid].suspended
-        return flags
+        """Per-position suspension flags (an aliasing column view)."""
+        return self.cols.suspended
 
     # -- queries ----------------------------------------------------------
 
-    def account(self, user_id: int) -> AccountState:
+    def account(self, user_id: int) -> AccountView:
         """Look up the mutable platform state of an account."""
         return self.accounts[user_id]
 
     def live_ids(self) -> list[int]:
         """Ids of accounts that are not suspended."""
-        if self.cols is not None:
-            order = self.order
-            return [
-                order[i] for i in np.nonzero(~self.cols.suspended)[0]
-            ]
-        return [uid for uid in self.order if not self.accounts[uid].suspended]
+        order = self.order
+        return [order[i] for i in np.nonzero(~self.cols.suspended)[0]]
 
     def normal_ids(self) -> list[int]:
         """Ids of accounts whose ground-truth role is NORMAL."""
@@ -322,11 +300,31 @@ class Population:
         trending-topic affinity.  Its ground-truth role is NORMAL (the
         operator is not a spammer).
 
+        The user id must come from :meth:`next_user_id`: an id not yet
+        allocated would collide with the next spawned account.
+
         Raises:
-            ValueError: if the user id is already taken.
+            ValueError: if the user id is taken or was never allocated,
+                if ``post_rate_per_day`` is negative or not finite, or
+                if ``topic_affinity`` lies outside [0, 1].  A rejected
+                call changes nothing, the population RNG included.
         """
-        if account.user_id in self.accounts:
-            raise ValueError(f"user id {account.user_id} already exists")
+        user_id = account.user_id
+        if not 0 <= user_id < self._next_user_id:
+            raise ValueError(
+                f"user id {user_id} was not allocated by next_user_id()"
+            )
+        if user_id in self.accounts:
+            raise ValueError(f"user id {user_id} already exists")
+        if not (math.isfinite(post_rate_per_day) and post_rate_per_day >= 0):
+            raise ValueError(
+                f"post_rate_per_day must be finite and >= 0, "
+                f"got {post_rate_per_day}"
+            )
+        if not 0 <= topic_affinity <= 1:
+            raise ValueError(
+                f"topic_affinity must be in [0, 1], got {topic_affinity}"
+            )
         account.screen_name = self.names.claim(account.screen_name, self.rng)
         self._register(account, AccountKind.NORMAL)
         idx = self.index_of[account.user_id]
@@ -343,11 +341,8 @@ class Population:
         return user_id
 
     def _register(self, account: AccountState, kind: AccountKind) -> None:
-        if self.cols is not None:
-            # Row index equals position in ``order`` by construction.
-            self.cols.append_state(account)
-        else:
-            self.accounts[account.user_id] = account
+        # Row index equals position in ``order`` by construction.
+        self.cols.append_state(account)
         self.index_of[account.user_id] = len(self.order)
         self.order.append(account.user_id)
         self.truth.account_kind[account.user_id] = kind
@@ -411,43 +406,53 @@ def build_population(config: SimulationConfig) -> Population:
     favourites = np.minimum(fav_rate * age_days, 300_000).astype(int)
     listed = np.minimum(list_rate * age_days, 3000).astype(int)
 
-    accounts: dict[int, AccountState] = {}
-    order: list[int] = []
-    index_of: dict[int, int] = {}
+    # Organic accounts take user ids 0..n-1, which are also their rows
+    # and positions.  The numeric columns are whole arrays; the loop
+    # keeps the per-account draw order (verified, default image,
+    # handle, display name, bio, avatar, interests).
     interests: dict[int, tuple[HashtagCategory, ...]] = {}
     categories = list(HashtagCategory)
+    screen_names: list[str] = []
+    display_names: list[str] = []
+    descriptions: list[str] = []
+    verified: list[bool] = []
+    default_image: list[bool] = []
+    image_ids: list[int] = []
 
     for i in range(n):
-        user_id = i
-        verified = bool(rng.random() < 0.005 and followers[i] > 3000)
-        default_image = bool(rng.random() < 0.06)
-        account = AccountState(
-            user_id=user_id,
-            screen_name=names.claim(normal_screen_name(rng), rng),
-            name=normal_screen_name(rng).replace("_", " ").title(),
-            created_at=-days(float(age_days[i])),
-            description=text.benign_description(),
-            friends_count=int(friends[i]),
-            followers_count=int(followers[i]),
-            statuses_count=int(statuses[i]),
-            listed_count=int(listed[i]),
-            favourites_count=int(favourites[i]),
-            verified=verified,
-            default_profile_image=default_image,
-            profile_image_id=(
-                DEFAULT_IMAGE_ID if default_image else images.new_random_image()
-            ),
+        verified.append(bool(rng.random() < 0.005 and followers[i] > 3000))
+        is_default = bool(rng.random() < 0.06)
+        default_image.append(is_default)
+        screen_names.append(names.claim(normal_screen_name(rng), rng))
+        display_names.append(normal_screen_name(rng).replace("_", " ").title())
+        descriptions.append(text.benign_description())
+        image_ids.append(
+            DEFAULT_IMAGE_ID if is_default else images.new_random_image()
         )
-        accounts[user_id] = account
-        index_of[user_id] = len(order)
-        order.append(user_id)
-        truth.account_kind[user_id] = AccountKind.NORMAL
+        truth.account_kind[i] = AccountKind.NORMAL
         if rng.random() < config.no_hashtag_fraction:
-            interests[user_id] = ()
+            interests[i] = ()
         else:
             k = int(rng.integers(1, 3))
             picks = rng.choice(len(categories), size=k, replace=False)
-            interests[user_id] = tuple(categories[j] for j in picks)
+            interests[i] = tuple(categories[j] for j in picks)
+
+    cols = AccountColumns(capacity=n)
+    cols.extend(
+        user_id=np.arange(n),
+        screen_name=screen_names,
+        name=display_names,
+        created_at=-days(age_days),
+        description=descriptions,
+        friends_count=friends,
+        followers_count=followers,
+        statuses_count=statuses,
+        listed_count=listed,
+        favourites_count=favourites,
+        verified=verified,
+        default_profile_image=default_image,
+        profile_image_id=image_ids,
+    )
 
     topic_affinity = np.clip(
         rng.beta(2, 2, size=n) * 2 * config.topic_affinity_mean, 0, 0.95
@@ -455,9 +460,9 @@ def build_population(config: SimulationConfig) -> Population:
 
     population = Population(
         config=config,
-        accounts=accounts,
-        order=order,
-        index_of=index_of,
+        cols=cols,
+        order=list(range(n)),
+        index_of=dict(zip(range(n), range(n))),
         post_rate_per_day=post_rate.copy(),
         fav_rate_per_day=fav_rate.copy(),
         interests=interests,
@@ -541,10 +546,5 @@ def build_population(config: SimulationConfig) -> Population:
             keyword_class,
             int(rng.integers(0, 1000)),
         )
-
-    # The build above runs in object mode (no RNG draws depend on the
-    # storage backend), then state moves into flat columns in one pass.
-    if config.columnar:
-        population.to_columnar()
 
     return population

@@ -162,13 +162,12 @@ class ShardedTwitterEngine(TwitterEngine):
         # the worker count.
         on = self._update_sessions()
         scale = on.astype(np.float64) / pop.config.session_on_fraction
-        if len(pop.always_on) == len(scale):
-            scale[pop.always_on] = 1.0
+        scale[pop.always_on] = 1.0
         rates = pop.post_rate_per_day * scale / 24.0
         counts = self.rng.poisson(rates)
         posting = np.nonzero(counts)[0]
         if len(posting):
-            suspended = np.asarray(pop.suspended_flags())
+            suspended = pop.suspended_flags()
             posting = posting[~suspended[posting]]
         topic_weights = self.topic_process.weights_at(hour)
         topic_probs = topic_weights / topic_weights.sum()
@@ -179,7 +178,6 @@ class ShardedTwitterEngine(TwitterEngine):
         order = pop.order
         interests_of = pop.interests
         topic_affinity = pop.topic_affinity
-        n_aff = len(topic_affinity)
         bounds = self.shard_bounds(len(order))
         posting_rows = posting.tolist()
         counts_of = counts
@@ -199,11 +197,7 @@ class ShardedTwitterEngine(TwitterEngine):
                         row,
                         int(counts_of[row]),
                         interests_of.get(order[row], ()),
-                        (
-                            topic_affinity.item(row)
-                            if row < n_aff
-                            else 0.0
-                        ),
+                        topic_affinity.item(row),
                     )
                 )
                 pos += 1

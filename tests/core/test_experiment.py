@@ -1,9 +1,6 @@
 """Tests for experiment orchestration (tiny scale)."""
 
-import pytest
-
 from repro.core.experiment import PseudoHoneypotExperiment
-from repro.core.network import PseudoHoneypotNetwork
 from repro.core.selection import SelectionPlan
 from repro.twittersim import SimulationConfig
 

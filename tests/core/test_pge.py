@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.attributes import AttributeCategory
 from repro.core.detector import ClassificationOutcome
 from repro.core.monitor import CaptureCategory, CapturedTweet
-from repro.core.network import ExposureLedger
 from repro.core.pge import (
     advanced_plan_from_pge,
     aggregate,
@@ -16,7 +14,6 @@ from repro.core.pge import (
     PgeEntry,
     spam_count_distribution,
 )
-from repro.core.selection import HoneypotNode
 from repro.twittersim.entities import Tweet, TweetKind, UserProfile
 
 

@@ -14,7 +14,6 @@ import pytest
 from repro.devtools.lint import (
     FileContext,
     GraphRule,
-    ModuleTable,
     ProjectIndex,
     module_name_for,
 )

@@ -1,6 +1,5 @@
 """Tests for behavioral trackers."""
 
-import numpy as np
 import pytest
 
 from repro.features.behavior import BehaviorTracker, UserActivity

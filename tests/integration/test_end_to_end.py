@@ -9,12 +9,7 @@ system beats random monitoring.
 import numpy as np
 import pytest
 
-from repro.core.pge import (
-    aggregate,
-    overall_pge,
-    pge_by_sample,
-    spam_count_distribution,
-)
+from repro.core.pge import overall_pge, spam_count_distribution
 
 
 class TestFullPipeline:

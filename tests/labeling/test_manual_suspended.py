@@ -1,6 +1,5 @@
 """Tests for the manual-checking oracle and suspension checks."""
 
-import numpy as np
 import pytest
 
 from repro.labeling.manual import ManualChecker

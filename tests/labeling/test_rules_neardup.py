@@ -1,8 +1,5 @@
 """Tests for near-duplicate tweet grouping and the 11 rule policies."""
 
-import numpy as np
-import pytest
-
 from repro.labeling.minhash import MinHasher
 from repro.labeling.neardup import MIN_CONTENT_LENGTH, group_near_duplicates
 from repro.labeling.rules import (

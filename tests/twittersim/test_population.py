@@ -1,6 +1,5 @@
 """Tests for population generation and ground truth."""
 
-import numpy as np
 import pytest
 
 from repro.twittersim import SimulationConfig, build_population
@@ -126,24 +125,27 @@ class TestCampaigns:
         assert len(population.post_rate_per_day) == len(population.order)
 
 
+def _operator_account(user_id: int) -> AccountState:
+    return AccountState(
+        user_id=user_id,
+        screen_name="hp_test",
+        name="HP",
+        created_at=0.0,
+        description="",
+        friends_count=10,
+        followers_count=5,
+        statuses_count=0,
+        listed_count=0,
+        favourites_count=0,
+    )
+
+
 class TestOperatorAccounts:
     def test_register_operator_account(self):
         population = build_population(SimulationConfig.small(seed=2))
         uid = population.next_user_id()
-        account = AccountState(
-            user_id=uid,
-            screen_name="hp_test",
-            name="HP",
-            created_at=0.0,
-            description="",
-            friends_count=10,
-            followers_count=5,
-            statuses_count=0,
-            listed_count=0,
-            favourites_count=0,
-        )
         population.register_operator_account(
-            account,
+            _operator_account(uid),
             post_rate_per_day=6.0,
             interests=(HashtagCategory.SOCIAL,),
             topic_affinity=0.2,
@@ -158,6 +160,64 @@ class TestOperatorAccounts:
         account = population.accounts[existing]
         with pytest.raises(ValueError):
             population.register_operator_account(account)
+
+    def test_unallocated_id_rejected(self):
+        # The id spawn_campaign_member takes next: registering it would
+        # give two accounts one id and flip the operator's ground truth
+        # to CAMPAIGN_SPAMMER.
+        population = build_population(SimulationConfig.small(seed=3))
+        upcoming = len(population.order)
+        with pytest.raises(ValueError, match="next_user_id"):
+            population.register_operator_account(_operator_account(upcoming))
+        spawned = population.spawn_campaign_member(
+            population.campaigns[0], now=0.0
+        )
+        assert spawned == upcoming
+        assert len(population.order) == len(set(population.order))
+
+    def test_negative_id_rejected(self):
+        population = build_population(SimulationConfig.small(seed=3))
+        with pytest.raises(ValueError, match="next_user_id"):
+            population.register_operator_account(_operator_account(-1))
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_bad_post_rate_rejected(self, rate):
+        population = build_population(SimulationConfig.small(seed=3))
+        account = _operator_account(population.next_user_id())
+        with pytest.raises(ValueError, match="post_rate_per_day"):
+            population.register_operator_account(
+                account, post_rate_per_day=rate
+            )
+
+    @pytest.mark.parametrize("affinity", [-0.1, 1.5, float("nan")])
+    def test_bad_topic_affinity_rejected(self, affinity):
+        population = build_population(SimulationConfig.small(seed=3))
+        account = _operator_account(population.next_user_id())
+        with pytest.raises(ValueError, match="topic_affinity"):
+            population.register_operator_account(
+                account, topic_affinity=affinity
+            )
+
+    def test_rejected_call_changes_nothing(self):
+        population = build_population(SimulationConfig.small(seed=3))
+        uid = population.next_user_id()
+        account = _operator_account(uid)
+        # A taken handle makes the name claim draw from the population
+        # RNG, so a check placed after the claim would move the stream.
+        taken = population.accounts[population.order[0]].screen_name
+        account.screen_name = taken
+        order = list(population.order)
+        names = set(population.names._used)
+        rng_state = population.rng.bit_generator.state
+        with pytest.raises(ValueError):
+            population.register_operator_account(
+                account, post_rate_per_day=float("nan")
+            )
+        assert population.order == order
+        assert population.names._used == names
+        assert population.rng.bit_generator.state == rng_state
+        assert account.screen_name == taken
+        assert uid not in population.accounts
 
 
 class TestDeterminism:
