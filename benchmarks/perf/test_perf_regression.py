@@ -1,14 +1,14 @@
-"""The perf harness end-to-end: BENCH artifacts and both gates.
+"""The perf harness end-to-end: ledger lines and the trajectory gate.
 
 These run the real ``scripts/bench.py`` CLI (micro workload, seconds)
-in a scratch directory, so they live under ``benchmarks/`` rather than
-the tier-1 ``tests/`` tree.  They prove the acceptance loop twice
-over: the legacy single-baseline flow (first run writes
-``BENCH_<runid>.json``, a second diffs against it, a doctored slow
-baseline trips the non-zero exit) and the ledger trajectory flow (runs
-accumulate in a scratch ledger and gate against the median).  Every
-invocation points the ledger at the scratch directory — the repo's
-committed ``results/ledger/bench.jsonl`` must never absorb test runs.
+against a scratch ledger, so they live under ``benchmarks/`` rather
+than the tier-1 ``tests/`` tree.  They prove the acceptance loop: a
+first run appends a full ledger line and skips the gate, a second run
+diffs against the median of the first at the default threshold, and a
+doctored fast trajectory trips the non-zero exit unless ``--no-gate``.
+Every invocation points the ledger at the scratch directory — the
+repo's committed ``results/ledger/bench.jsonl`` must never absorb test
+runs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 BENCH_CLI = REPO_ROOT / "scripts" / "bench.py"
 
 
-def run_bench(tmp_path: Path, *extra: str) -> subprocess.CompletedProcess:
+def run_bench(ledger: Path, *extra: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_PROFILE", None)
@@ -32,81 +32,40 @@ def run_bench(tmp_path: Path, *extra: str) -> subprocess.CompletedProcess:
         str(BENCH_CLI),
         "--scale",
         "micro",
-        "--out-dir",
-        str(tmp_path),
+        "--ledger",
+        str(ledger),
         *extra,
     ]
-    if "--ledger" not in extra and "--no-ledger" not in extra:
-        args += ["--no-ledger"]
     return subprocess.run(
         args, capture_output=True, text=True, env=env, check=False
     )
 
 
-def test_first_run_writes_artifact_and_skips_gate(tmp_path):
-    result = run_bench(tmp_path, "--runid", "run_a")
-    assert result.returncode == 0, result.stderr
-    payload = json.loads((tmp_path / "BENCH_run_a.json").read_text())
-    assert payload["schema"] == "repro-bench/1"
-    assert any(
-        name.startswith("experiment.") for name in payload["phases"]
-    )
-    assert payload["totals"]["wall_s"] > 0
-    assert "gate skipped" in result.stdout
-
-
-def test_second_run_diffs_against_previous(tmp_path):
-    first = run_bench(tmp_path, "--runid", "run_a")
-    assert first.returncode == 0, first.stderr
-    second = run_bench(tmp_path, "--runid", "run_b")
-    assert second.returncode == 0, second.stderr
-    assert "run_a" in second.stdout
-    assert "experiment.collect_ground_truth" in second.stdout
-    assert "<total>" in second.stdout
-
-
-def test_doctored_slow_baseline_trips_the_gate(tmp_path):
-    first = run_bench(tmp_path, "--runid", "run_a")
-    assert first.returncode == 0, first.stderr
-    # Rewrite the baseline claiming every phase used to be ~instant,
-    # so the real second run reads as a massive regression.
-    baseline = tmp_path / "BENCH_run_a.json"
-    payload = json.loads(baseline.read_text())
-    for entry in payload["phases"].values():
-        entry["wall_s"] = 0.05
-    payload["totals"]["wall_s"] = 0.05 * len(payload["phases"])
-    baseline.write_text(json.dumps(payload))  # repro-lint: disable=RPL205 -- doctors a scratch tmp_path baseline to look slow; test scaffolding, not an artifact
-    gated = run_bench(tmp_path, "--runid", "run_b")
-    assert gated.returncode == 1
-    assert "PERF REGRESSION" in gated.stderr
-    assert "<< REGRESSION" in gated.stdout
-    ungated = run_bench(tmp_path, "--runid", "run_c", "--no-gate")
-    assert ungated.returncode == 0, ungated.stderr
-
-
-def test_ledger_trajectory_accumulates_and_gates(tmp_path):
-    ledger = tmp_path / "ledger.jsonl"
-    first = run_bench(
-        tmp_path, "--runid", "run_a", "--ledger", str(ledger)
-    )
-    assert first.returncode == 0, first.stderr
-    assert "gate skipped" in first.stdout
-    second = run_bench(
-        tmp_path,
-        "--runid",
-        "run_b",
-        "--ledger",
-        str(ledger),
-        "--threshold",
-        "5.0",
-    )
-    assert second.returncode == 0, second.stderr
-    assert "median[1]" in second.stdout
-    lines = [
+def ledger_lines(ledger: Path) -> list[dict]:
+    return [
         json.loads(line)
         for line in ledger.read_text().splitlines()
         if line.strip()
     ]
+
+
+def test_ledger_trajectory_accumulates_and_gates(tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    first = run_bench(ledger, "--runid", "run_a")
+    assert first.returncode == 0, first.stderr
+    assert "gate skipped" in first.stdout
+    (entry,) = ledger_lines(ledger)
+    assert any(name.startswith("experiment.") for name in entry["phases"])
+    assert all("max_rss_kb" in phase for phase in entry["phases"].values())
+    assert entry["totals"]["wall_s"] > 0
+    assert entry["metrics"], "bench line carries no counters"
+    assert entry["meta"]["config_digest"]
+    second = run_bench(
+        ledger, "--runid", "run_b", "--threshold", "5.0"
+    )
+    assert second.returncode == 0, second.stderr
+    assert "median[1]" in second.stdout
+    lines = ledger_lines(ledger)
     assert [entry["runid"] for entry in lines] == ["run_a", "run_b"]
     # The ledger reader accepts v1 records; the writer stamps the
     # current schema (bumped to /2 when incident payloads landed).
@@ -115,11 +74,21 @@ def test_ledger_trajectory_accumulates_and_gates(tmp_path):
     )
 
 
+def test_second_run_diffs_against_previous(tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    first = run_bench(ledger, "--runid", "run_a")
+    assert first.returncode == 0, first.stderr
+    second = run_bench(ledger, "--runid", "run_b")
+    assert second.returncode == 0, second.stderr
+    assert "median[1]" in second.stdout
+    assert "threshold +35%" in second.stdout
+    assert "experiment.collect_ground_truth" in second.stdout
+    assert "<total>" in second.stdout
+
+
 def test_doctored_slow_trajectory_trips_the_gate(tmp_path):
     ledger = tmp_path / "ledger.jsonl"
-    first = run_bench(
-        tmp_path, "--runid", "run_a", "--ledger", str(ledger)
-    )
+    first = run_bench(ledger, "--runid", "run_a")
     assert first.returncode == 0, first.stderr
     # Rewrite the run's ledger line to claim every phase was ~instant.
     entry = json.loads(ledger.read_text())
@@ -130,9 +99,10 @@ def test_doctored_slow_trajectory_trips_the_gate(tmp_path):
     # keep one phase just above it so the gate has a real baseline.
     entry["phases"]["experiment.run_plan"]["wall_s"] = 0.06
     ledger.write_text(json.dumps(entry) + "\n")  # repro-lint: disable=RPL205 -- doctors a scratch tmp_path ledger line to look fast; never touches results/ledger/
-    gated = run_bench(
-        tmp_path, "--runid", "run_b", "--ledger", str(ledger)
-    )
+    gated = run_bench(ledger, "--runid", "run_b")
     assert gated.returncode == 1
     assert "PERF REGRESSION" in gated.stderr
+    assert "<< REGRESSION" in gated.stdout
     assert "median[1]" in gated.stdout
+    ungated = run_bench(ledger, "--runid", "run_c", "--no-gate")
+    assert ungated.returncode == 0, ungated.stderr

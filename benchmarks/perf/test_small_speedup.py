@@ -11,9 +11,9 @@ hold on every future commit.
 Lives under ``benchmarks/`` (minutes-scale, timing-sensitive) rather
 than the tier-1 ``tests/`` tree.  The run is measured exactly the way
 the baselines were: ``scripts/bench.py`` in a subprocess, wall taken
-from the BENCH artifact's ``totals.wall_s`` (summed root
-``experiment.*`` spans), pointed at a scratch directory so the
-committed ledger never absorbs test runs.
+from its ledger line's ``totals.wall_s`` (summed root
+``experiment.*`` spans), pointed at a scratch ledger so the committed
+ledger never absorbs test runs.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def pre_refactor_median() -> float:
 
 
 def run_small(tmp_path: Path) -> float:
-    """One CLI small run; returns the artifact's totals.wall_s."""
+    """One CLI small run; returns its ledger line's totals.wall_s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_PROFILE", None)
@@ -62,9 +62,8 @@ def run_small(tmp_path: Path) -> float:
             "small",
             "--runid",
             "speedup-gate",
-            "--out-dir",
-            str(tmp_path),
-            "--no-ledger",
+            "--ledger",
+            str(tmp_path / "bench.jsonl"),
             "--no-gate",
         ],
         env=env,
@@ -73,10 +72,8 @@ def run_small(tmp_path: Path) -> float:
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    artifact = json.loads(
-        (tmp_path / "BENCH_speedup-gate.json").read_text()
-    )
-    return float(artifact["totals"]["wall_s"])
+    (line,) = (tmp_path / "bench.jsonl").read_text().splitlines()
+    return float(json.loads(line)["totals"]["wall_s"])
 
 
 class TestSmallWorkloadSpeedup:

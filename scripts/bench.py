@@ -1,24 +1,18 @@
-"""Perf-regression gate: run a canonical workload, emit BENCH_*.json.
+"""Perf-regression gate: run a canonical workload, append a ledger line.
 
-Runs one of the preset benchmark workloads (micro/tiny/small) fully
-instrumented, distills the run report's ``experiment.*`` span tree
-into ``BENCH_<runid>.json`` at the repo root, and appends the same
-result to the run ledger (``results/ledger/bench.jsonl`` — tracked in
-git, unlike the BENCH files) so the perf trajectory accumulates across
-machines and commits.
+Runs one of the preset benchmark workloads (micro/tiny/small/large)
+fully instrumented and distills its run report into one run-ledger
+record with ``RunRecord.from_report``: per-phase wall/CPU/peak RSS,
+root-span totals, the counter snapshot, and run identity including
+the ``config_digest``.  The record is appended to
+``results/ledger/bench.jsonl`` (tracked in git), so the perf
+trajectory accumulates across machines and commits.
 
-Regression gating, in priority order:
-
-1. ``--baseline PATH`` — diff against that one BENCH file;
-2. the ledger — diff against the **median of the last K** comparable
-   records (same scale + workers), via ``diff_trajectory``;
-3. the newest previous ``BENCH_*.json`` in ``--out-dir`` (legacy
-   single-baseline flow).
-
-Any phase slower than the threshold (default +35%, override with
-``--threshold`` or ``REPRO_BENCH_THRESHOLD``) makes the script **exit
-non-zero** — wire it next to the tier-1 pytest command to catch perf
-regressions per PR:
+The gate diffs the run against the **median of the last K** comparable
+ledger records (same scale + workers) via ``diff_trajectory``.  Any
+phase slower than ``--threshold`` (default +35%) makes the script
+**exit non-zero** — wire it next to the tier-1 pytest command to catch
+perf regressions per PR:
 
     REPRO_SCALE=tiny PYTHONPATH=src python scripts/bench.py
 
@@ -32,6 +26,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,21 +36,37 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import configure_logging  # noqa: E402
 from repro.analysis import WORKLOAD_NAMES, run_bench_workload  # noqa: E402
 from repro.obs import (  # noqa: E402
-    BenchResult,
     HealthEngine,
     LiveMonitor,
     RunLedger,
     RunRecord,
-    diff_benchmarks,
     diff_trajectory,
-    find_previous,
     resources,
     set_profiling,
 )
-from repro.obs.bench import DEFAULT_THRESHOLD  # noqa: E402
-from repro.obs.ledger import DEFAULT_LAST_K  # noqa: E402
+from repro.obs.ledger import DEFAULT_LAST_K, DEFAULT_THRESHOLD  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _threshold(text: str) -> float:
+    """``--threshold``: a finite fraction >= 0 (``nan`` passes any run)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
+def _last_k(text: str) -> int:
+    """``--last-k``: a trajectory window of at least one record."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return value
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -74,27 +85,19 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help=(
             "process-pool size for CPU-bound phases (env "
             "REPRO_WORKERS; 0 = sequential, -1 = all cores); "
-            "recorded in the BENCH artifact"
+            "recorded as meta.workers in the ledger line"
         ),
     )
     parser.add_argument(
         "--threshold",
-        type=float,
-        default=float(
-            os.environ.get("REPRO_BENCH_THRESHOLD", DEFAULT_THRESHOLD)
-        ),
+        type=_threshold,
+        default=DEFAULT_THRESHOLD,
         help="regression gate as a fraction (0.35 = fail on +35%%)",
     )
     parser.add_argument(
         "--runid",
         default=None,
-        help="artifact id (default: UTC timestamp)",
-    )
-    parser.add_argument(
-        "--out-dir",
-        type=Path,
-        default=REPO_ROOT,
-        help="where BENCH_<runid>.json lands (default: repo root)",
+        help="ledger record id (default: UTC timestamp)",
     )
     parser.add_argument(
         "--ledger",
@@ -106,22 +109,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="skip the ledger append and trajectory gating entirely",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=(
-            "explicit BENCH_*.json to gate against (overrides the "
-            "ledger trajectory)"
-        ),
-    )
-    parser.add_argument(
         "--last-k",
-        type=int,
+        type=_last_k,
         default=DEFAULT_LAST_K,
         help=(
             "trajectory window: gate against the median of the last "
@@ -151,7 +140,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument(
         "--no-gate",
         action="store_true",
-        help="write the artifact but never fail on regressions",
+        help="append the ledger line but never fail on regressions",
     )
     parser.add_argument(
         "--lint-wall",
@@ -160,16 +149,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
             "additionally time a full-tree repro-lint pass and record "
             "it as totals.lint_wall_s in the ledger, so the lint "
             "layer's own cost accumulates a trajectory"
-        ),
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help=(
-            "additionally run the always-on service workload at the "
-            "same scale and record totals.service_p50_ms / "
-            "totals.service_p99_ms / totals.tweets_per_sec in the "
-            "ledger (see repro.service.bench)"
         ),
     )
     return parser.parse_args(argv)
@@ -194,7 +173,7 @@ def _lint_wall_seconds() -> float:
     return time.perf_counter() - start
 
 
-def _comparable(record: RunRecord, current: BenchResult) -> bool:
+def _comparable(record: RunRecord, current: RunRecord) -> bool:
     """Whether a ledger record is trajectory material for this run."""
     return (
         record.kind == "bench"
@@ -231,95 +210,58 @@ def main(argv: list[str] | None = None) -> int:
             f"({', '.join(sorted(i.rule for i in health.incidents.incidents))})"
         )
 
-    current = BenchResult.capture(
+    record = RunRecord.from_report(
         report,
         runid,
+        kind="bench",
         scale=args.scale,
         seed=args.seed,
         workers=args.workers,
     )
-    path = current.save(args.out_dir)
-    print(f"benchmark artifact: {path}")
-
-    # The service workload resets the observability layer, so it must
-    # run only after the batch report above has been captured.
-    service_totals: dict | None = None
-    if args.service:
-        from repro.service.bench import run_service_bench
-
-        service_totals = run_service_bench(
-            args.scale, seed=args.seed, workers=args.workers
-        )
+    if not record.phases:
         print(
-            "service: "
-            f"p50 {service_totals['service_p50_ms']}ms / "
-            f"p99 {service_totals['service_p99_ms']}ms, "
-            f"{service_totals['tweets_per_sec']:.0f} tweets/s "
-            f"({service_totals['service_scored']} scored in "
-            f"{service_totals['service_batches']} batches)"
+            "benchmark report has no experiment.* spans; "
+            "nothing appended to the ledger",
+            file=sys.stderr,
+        )
+        return 2
+    # Peak RSS of the whole run (ru_maxrss is monotonic): the scale
+    # workloads exist to track memory as much as wall time.
+    record.totals["max_rss_kb"] = resources.sample().max_rss_kb
+    if health is not None:
+        record.totals["alerts_fired"] = health.alerts_fired
+        record.incidents = health.incidents.to_payload()
+    if args.lint_wall:
+        record.totals["lint_wall_s"] = round(_lint_wall_seconds(), 4)
+        print(
+            "lint wall-clock: "
+            f"{record.totals['lint_wall_s']:.2f}s (full tree)"
         )
 
-    # The ledger trajectory accumulates even when gating is skipped:
-    # history is what makes future medians trustworthy.  Baseline
-    # records are read BEFORE appending so this run never gates
-    # against itself.
-    ledger: RunLedger | None = None
-    baseline_records: list[RunRecord] = []
-    if not args.no_ledger:
-        ledger = RunLedger(
-            args.ledger
-            if args.ledger is not None
-            else RunLedger.default(REPO_ROOT).path
+    # The trajectory accumulates even when gating is skipped: history
+    # is what makes future medians trustworthy.  The baseline is read
+    # BEFORE appending so this run never gates against itself.
+    ledger = RunLedger(
+        args.ledger
+        if args.ledger is not None
+        else RunLedger.default(REPO_ROOT).path
+    )
+    history, skipped = ledger.scan()
+    if skipped:
+        print(
+            f"ledger: skipped {skipped} unusable line(s) in {ledger.path}",
+            file=sys.stderr,
         )
-        baseline_records = [
-            record
-            for record in ledger.trajectory(kind="bench")
-            if _comparable(record, current)
-        ]
-        record = RunRecord.from_bench(current)
-        if service_totals is not None:
-            record.totals.update(service_totals)
-        # Peak RSS of the whole run (ru_maxrss is monotonic): the
-        # scale workloads exist to track memory as much as wall time.
-        record.totals["max_rss_kb"] = resources.sample().max_rss_kb
-        if health is not None:
-            record.totals["alerts_fired"] = health.alerts_fired
-            record.incidents = health.incidents.to_payload()
-        if args.lint_wall:
-            record.totals["lint_wall_s"] = round(
-                _lint_wall_seconds(), 4
-            )
-            print(
-                "lint wall-clock: "
-                f"{record.totals['lint_wall_s']:.2f}s (full tree)"
-            )
-        ledger.append(record, timestamp=runid)
-        print(f"ledger: {ledger.path} ({len(baseline_records) + 1} runs)")
+    baseline = [past for past in history if _comparable(past, record)]
+    ledger.append(record, timestamp=runid)
+    print(f"ledger: {ledger.path} ({len(baseline) + 1} runs)")
 
-    diff = None
-    if args.baseline is not None:
-        previous = BenchResult.load(args.baseline)
-        diff = diff_benchmarks(
-            previous, current, threshold=args.threshold
-        )
-    elif baseline_records:
-        diff = diff_trajectory(
-            baseline_records,
-            current,
-            threshold=args.threshold,
-            k=args.last_k,
-        )
-    else:
-        previous_path = find_previous(args.out_dir, exclude_runid=runid)
-        if previous_path is not None:
-            previous = BenchResult.load(previous_path)
-            diff = diff_benchmarks(
-                previous, current, threshold=args.threshold
-            )
-
-    if diff is None:
-        print("no baseline or ledger history; regression gate skipped")
+    if not baseline:
+        print("no comparable ledger history; regression gate skipped")
         return 0
+    diff = diff_trajectory(
+        baseline, record, threshold=args.threshold, k=args.last_k
+    )
     print()
     print(diff.render())
     if not diff.ok and not args.no_gate:

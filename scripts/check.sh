@@ -4,9 +4,11 @@
 #   ./scripts/check.sh            # the full chain, incl. benchmarks/perf
 #   ./scripts/check.sh --fast     # same gate minus benchmarks/perf
 #
-# Mirrors what CI runs; scripts/bench.py (the BENCH_*.json regression
-# artifacts) and the table/figure benchmarks stay separate.  The perf
-# lane runs at REPRO_SCALE=tiny unless the caller exports a scale.
+# Mirrors what CI runs.  The lanes below point scripts/bench.py at
+# throwaway ledgers; only a hand run or CI's trajectory step appends to
+# the committed run ledger (results/ledger/bench.jsonl).  The
+# table/figure benchmarks stay separate.  The perf lane runs at
+# REPRO_SCALE=tiny unless the caller exports a scale.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -178,17 +180,18 @@ if [[ "$fast" == "0" ]]; then
 
     echo "== ledger + dashboard smoke =="
     # Two seeded micro runs into a throwaway ledger, then assert the
-    # trajectory accumulated, the median gate runs, and the dashboard
-    # renders fully offline.  The second run gates at a generous
-    # threshold so wall-clock noise cannot fail the lane.
+    # trajectory accumulated with full records (counters and config
+    # digest), the median gate runs, and the dashboard renders fully
+    # offline with counter sparklines.  The second run gates at a
+    # generous threshold so wall-clock noise cannot fail the lane.
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
     PYTHONPATH=src python scripts/bench.py --scale micro \
-        --runid smokeA --out-dir "$smoke_dir" \
-        --ledger "$smoke_dir/bench.jsonl" --no-gate >/dev/null
+        --runid smokeA --ledger "$smoke_dir/bench.jsonl" \
+        --no-gate >/dev/null
     PYTHONPATH=src python scripts/bench.py --scale micro \
-        --runid smokeB --out-dir "$smoke_dir" \
-        --ledger "$smoke_dir/bench.jsonl" --threshold 5.0 >/dev/null
+        --runid smokeB --ledger "$smoke_dir/bench.jsonl" \
+        --threshold 5.0 >/dev/null
     SMOKE_DIR="$smoke_dir" PYTHONPATH=src python - <<'EOF'
 import os
 from pathlib import Path
@@ -199,12 +202,18 @@ smoke_dir = Path(os.environ["SMOKE_DIR"])
 ledger = RunLedger(smoke_dir / "bench.jsonl")
 records = ledger.trajectory(kind="bench")
 assert len(records) == 2, f"trajectory length {len(records)} != 2"
+for record in records:
+    assert record.metrics, f"{record.runid} carries no counters"
+    assert record.meta.get("config_digest"), (
+        f"{record.runid} carries no config digest"
+    )
 diff = diff_trajectory(records[:-1], records[-1], threshold=5.0)
 assert diff.ok, f"trajectory gate tripped: {diff.render()}"
 out = save_dashboard(smoke_dir / "dashboard.html", records)
 html = out.read_text(encoding="utf-8")
 assert "http" not in html, "dashboard references external resources"
 assert "smokeB" in html, "dashboard missing latest run"
+assert '<td class="name">metrics.' in html, "no counter series charted"
 print(f"ledger+dashboard smoke OK ({len(html)} bytes of HTML)")
 EOF
 fi

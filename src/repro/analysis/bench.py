@@ -1,7 +1,7 @@
 """Canonical benchmark workloads behind ``scripts/bench.py``.
 
 A benchmark run must execute the *same* phase sequence every time or
-its ``BENCH_<runid>.json`` timings are not comparable across commits.
+its ledger timings are not comparable across commits.
 This module pins that sequence: warm-up, ground-truth collection,
 labeling, detector training, the attribute sweep, and classification —
 the paper's pipeline end-to-end — at one of three preset scales:
@@ -16,7 +16,8 @@ the paper's pipeline end-to-end — at one of three preset scales:
 :func:`run_bench_workload` resets the observability layer, runs the
 workload fully instrumented, and returns the captured
 :class:`~repro.obs.report.RunReport`; ``scripts/bench.py`` distills
-that into a :class:`~repro.obs.bench.BenchResult`.
+that into one run-ledger line with
+:meth:`~repro.obs.ledger.RunRecord.from_report`.
 """
 
 from __future__ import annotations

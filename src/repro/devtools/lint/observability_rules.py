@@ -290,10 +290,10 @@ class ArtifactWriteRule(FileRule):
     )
 
     #: Sanctioned artifact writers inside the observability layer:
-    #: RunReport.save, BenchResult.save, and the event JSONL sink.
+    #: RunReport.save, the event JSONL sink, RunLedger.append, and the
+    #: dashboard render.
     SANCTIONED = (
         ("obs", "report.py"),
-        ("obs", "bench.py"),
         ("obs", "events.py"),
         ("obs", "ledger.py"),
         ("obs", "dashboard.py"),
@@ -368,7 +368,7 @@ class LedgerWriteRule(FileRule):
         "corrupt every downstream trend query."
     )
     fix_hint = (
-        "Build a RunRecord (from_report/from_bench) and call "
+        "Build a RunRecord (from_report) and call "
         "RunLedger.append(record, timestamp=...); read sides are fine "
         "(RunLedger.load already tolerates foreign lines by skipping "
         "them)."

@@ -18,12 +18,10 @@ zero-dependency instrumentation layer:
   CPU time (and, opt-in, cProfile top-N hot functions) to the span;
 * :class:`~repro.obs.live.LiveMonitor`, a console tail of the event
   stream for in-flight runs;
-* :class:`~repro.obs.bench.BenchResult` + ``diff_benchmarks``, the
-  ``BENCH_<runid>.json`` perf-regression artifacts
-  (``scripts/bench.py``);
 * :class:`~repro.obs.ledger.RunLedger` + ``diff_trajectory``, the
   append-only JSONL run trajectory under ``results/ledger/`` with its
-  median-of-last-K regression gate;
+  median-of-last-K regression gate — the one perf record, which
+  ``scripts/bench.py`` appends to and gates against;
 * :func:`~repro.obs.dashboard.save_dashboard`, the self-contained
   offline HTML view of a ledger + event stream;
 * :func:`~repro.obs.resources.sample`, per-phase peak-RSS/CPU
@@ -69,13 +67,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .alerts import Incident, IncidentLog
-from .bench import (
-    BenchDiff,
-    BenchResult,
-    PhaseDelta,
-    diff_benchmarks,
-    find_previous,
-)
 from .dashboard import render_dashboard, save_dashboard
 from .events import Event, EventStream, JsonlSink
 from .health import (
@@ -85,6 +76,8 @@ from .health import (
     default_rules,
 )
 from .ledger import (
+    BenchDiff,
+    PhaseDelta,
     RunLedger,
     RunRecord,
     diff_trajectory,
@@ -99,7 +92,6 @@ from .tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "BenchDiff",
-    "BenchResult",
     "Counter",
     "Event",
     "EventStream",
@@ -123,11 +115,9 @@ __all__ = [
     "Span",
     "Tracer",
     "default_rules",
-    "diff_benchmarks",
     "diff_trajectory",
     "disabled",
     "emit",
-    "find_previous",
     "render_dashboard",
     "save_dashboard",
     "stable_digest",

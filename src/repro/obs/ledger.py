@@ -1,23 +1,24 @@
 """The run ledger: a schema-versioned, append-only JSONL trajectory.
 
-PR 3's ``BENCH_<runid>.json`` artifacts are gitignored and compared
-against exactly one previous file, so the perf "trajectory" the
-ROADMAP demands never actually accumulates: every machine sees at most
-one baseline, and a single noisy run poisons the gate.  The ledger
-fixes both problems:
+The ledger is the repo's one perf record.  A perf "trajectory" has to
+accumulate across machines and commits, and one noisy run must not
+poison the regression gate, so:
 
 * every run appends one :class:`RunRecord` — run identity (seed,
   workers, config/fault-plan digests), per-phase timings (wall, CPU,
-  peak RSS), key metrics, and totals — as one JSON line under
+  peak RSS), the counter snapshot, and totals — as one JSON line under
   ``results/ledger/`` (deliberately **not** gitignored);
+  ``scripts/bench.py`` and ``export_report(ledger=...)`` both build
+  that record with :meth:`RunRecord.from_report`;
 * :class:`RunLedger` is the only sanctioned writer (lint rule RPL207
   flags raw ``open()`` writes under ``results/ledger/``), and its
   readers are *recovering*: a corrupted or truncated trailing line —
-  the expected failure mode of append-only files — is skipped, never
-  fatal;
-* :func:`diff_trajectory` replaces the single-baseline
-  ``diff_benchmarks`` flow with a **median-of-last-K** baseline, so
-  one outlier run cannot flip the regression gate.
+  the expected failure mode of append-only files — or a record whose
+  timings are not finite non-negative numbers is skipped and counted,
+  never fatal and never trusted;
+* :func:`diff_trajectory` gates a run against the **median of the
+  last K** comparable records, so one outlier run cannot flip the
+  regression gate.
 
 Determinism contract: record bodies never read the wall clock — a
 timestamp is *injected* by the caller (``append(record,
@@ -29,18 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bench import (
-    DEFAULT_THRESHOLD,
-    MIN_COMPARABLE_SECONDS,
-    BenchDiff,
-    BenchResult,
-    PhaseDelta,
-)
 from .report import RunReport
 
 #: Format marker written into every ledger line.  v2 added the
@@ -65,6 +60,14 @@ BENCH_LEDGER_NAME = "bench.jsonl"
 #: Default trajectory window of :func:`diff_trajectory`.
 DEFAULT_LAST_K = 5
 
+#: Default regression gate: fail on >35% wall-clock slowdown.  Tiny
+#: workloads are seconds long, so tighter gates would trip on machine
+#: noise; calibrate down as workloads grow.
+DEFAULT_THRESHOLD = 0.35
+
+#: Phases faster than this are pure noise; the gate skips them.
+MIN_COMPARABLE_SECONDS = 0.05
+
 
 def stable_digest(obj: object, length: int = 12) -> str:
     """A short, content-addressed digest of any JSON-able object.
@@ -79,6 +82,21 @@ def stable_digest(obj: object, length: int = 12) -> str:
     return hashlib.blake2b(
         payload.encode("utf-8"), digest_size=8
     ).hexdigest()[:length]
+
+
+def _is_timing(value: object) -> bool:
+    """Whether ``value`` is a finite, non-negative number.
+
+    A ``NaN`` or negative wall would let any slowdown through the
+    gate, and a string one would crash the median; ``bool`` is an
+    ``int`` subclass but never a timing.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 0
+    )
 
 
 @dataclass
@@ -116,10 +134,10 @@ class RunRecord:
         """Distill a :class:`RunReport` into one ledger record.
 
         Phase timings aggregate every ``experiment.*`` span by name
-        (like ``BenchResult.capture``) and additionally keep the
-        per-phase peak RSS the resource sampler stamped; metrics copy
-        the counter snapshot (gauges/histograms are run-shape, not
-        trajectory material).
+        and keep the per-phase peak RSS the resource sampler stamped;
+        totals sum the *root* spans only (nested phases would
+        double-count); metrics copy the counter snapshot
+        (gauges/histograms are run-shape, not trajectory material).
         """
         phases: dict[str, dict[str, float]] = {}
         for span in report.phase_spans():
@@ -166,23 +184,6 @@ class RunRecord:
             totals=totals,
         )
 
-    @classmethod
-    def from_bench(cls, bench: BenchResult, **meta: object) -> "RunRecord":
-        """Wrap a ``BenchResult`` as a ``kind="bench"`` record."""
-        record_meta = dict(bench.meta)
-        record_meta.pop("runid", None)
-        record_meta.update(meta)
-        return cls(
-            runid=bench.runid,
-            kind="bench",
-            meta=record_meta,
-            phases={
-                name: dict(entry) for name, entry in bench.phases.items()
-            },
-            metrics={},
-            totals=dict(bench.totals),
-        )
-
     # -- (de)serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -211,8 +212,9 @@ class RunRecord:
         (pre-health records have no ``incidents`` key).
 
         Raises:
-            ValueError: on a payload with an unknown schema marker or
-                no runid.
+            ValueError: on a payload with an unknown schema marker, no
+                runid, or a ``phases.<name>.*`` / ``totals.*`` value
+                that is not a finite, non-negative number.
         """
         if not isinstance(data, dict) or (
             data.get("schema") not in _ACCEPTED_SCHEMAS
@@ -226,16 +228,28 @@ class RunRecord:
         runid = str(data.get("runid", ""))
         if not runid:
             raise ValueError("ledger record has no runid")
+        phases = {
+            name: dict(entry)
+            for name, entry in dict(data.get("phases", {})).items()
+        }
+        totals = dict(data.get("totals", {}))
+        sections = [("totals", totals)] + [
+            (f"phases.{name}", entry) for name, entry in phases.items()
+        ]
+        for prefix, section in sections:
+            for key, value in section.items():
+                if not _is_timing(value):
+                    raise ValueError(
+                        f"ledger record {runid!r}: {prefix}.{key} = "
+                        f"{value!r} is not a finite number >= 0"
+                    )
         return cls(
             runid=runid,
             kind=str(data.get("kind", "experiment")),
             meta=dict(data.get("meta", {})),
-            phases={
-                name: dict(entry)
-                for name, entry in data.get("phases", {}).items()
-            },
+            phases=phases,
             metrics=dict(data.get("metrics", {})),
-            totals=dict(data.get("totals", {})),
+            totals=totals,
             incidents=[
                 dict(entry) for entry in data.get("incidents", [])
             ],
@@ -340,8 +354,10 @@ class RunLedger:
         """All parseable records plus the count of skipped lines.
 
         A half-written trailing line (crash mid-append), stray blank
-        lines, or a corrupted record are skipped — an append-only log
-        must degrade to its valid prefix, not refuse to load.
+        lines, a corrupted record, or one with unusable timings (see
+        :meth:`RunRecord.from_dict`) are skipped — an append-only log
+        must degrade to its valid prefix, not refuse to load, and a
+        gate must never trust a timing it cannot compare.
         """
         if not self.path.exists():
             return [], 0
@@ -400,9 +416,87 @@ class RunLedger:
         return points
 
 
+@dataclass(frozen=True)
+class PhaseDelta:
+    """One phase's before/after comparison."""
+
+    phase: str
+    previous_wall_s: float
+    current_wall_s: float
+
+    @property
+    def ratio(self) -> float:
+        """current/previous wall-clock (1.0 = unchanged)."""
+        if self.previous_wall_s <= 0:
+            return 1.0
+        return self.current_wall_s / self.previous_wall_s
+
+    @property
+    def change_pct(self) -> float:
+        return 100.0 * (self.ratio - 1.0)
+
+
+@dataclass
+class BenchDiff:
+    """Phase-by-phase comparison of a run against its baseline."""
+
+    previous_runid: str
+    current_runid: str
+    threshold: float
+    deltas: list[PhaseDelta] = field(default_factory=list)
+
+    @property
+    def regressions(self) -> list[PhaseDelta]:
+        """Deltas slower than the threshold on comparable phases."""
+        return [
+            delta
+            for delta in self.deltas
+            if delta.previous_wall_s >= MIN_COMPARABLE_SECONDS
+            and delta.ratio > 1.0 + self.threshold
+        ]
+
+    @property
+    def ok(self) -> bool:
+        return not self.regressions
+
+    def render(self) -> str:
+        """Aligned text table of every compared phase."""
+        headers = ("Phase", "Prev s", "Curr s", "Change")
+        rows = [
+            (
+                delta.phase,
+                f"{delta.previous_wall_s:.3f}",
+                f"{delta.current_wall_s:.3f}",
+                f"{delta.change_pct:+.1f}%"
+                + (
+                    "  << REGRESSION"
+                    if delta in self.regressions
+                    else ""
+                ),
+            )
+            for delta in self.deltas
+        ]
+        table = [headers, *rows]
+        widths = [
+            max(len(row[i]) for row in table) for i in range(len(headers))
+        ]
+        lines = [
+            "  ".join(
+                cell.ljust(width) for cell, width in zip(row, widths)
+            )
+            for row in table
+        ]
+        lines.insert(1, "  ".join("-" * width for width in widths))
+        lines.append(
+            f"(vs {self.previous_runid}, threshold "
+            f"+{100.0 * self.threshold:.0f}%)"
+        )
+        return "\n".join(lines)
+
+
 def diff_trajectory(
     baseline: Iterable[RunRecord] | RunLedger,
-    current: RunRecord | BenchResult,
+    current: RunRecord,
     threshold: float = DEFAULT_THRESHOLD,
     k: int = DEFAULT_LAST_K,
 ) -> BenchDiff:
@@ -411,17 +505,18 @@ def diff_trajectory(
     Per phase, the baseline is the **median** wall-clock across the
     newest ``k`` baseline records carrying that phase (the current
     runid is excluded if present) — one anomalously slow or fast
-    historical run therefore cannot swing the gate the way the old
-    single-file ``diff_benchmarks`` baseline could.  Returns the same
-    :class:`BenchDiff` shape, so rendering and the regression check
-    are shared with the single-baseline flow.
+    historical run therefore cannot swing the gate.  Phases present
+    on only one side are skipped (a new phase has no baseline; a
+    removed one has no current cost); the wall total is compared as
+    a ``<total>`` row.
 
     Raises:
-        ValueError: on a negative threshold, non-positive ``k``, or an
-            empty baseline (no comparable history).
+        ValueError: on a threshold that is negative or not finite, a
+            non-positive ``k``, or an empty baseline (no comparable
+            history).
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ValueError("threshold must be a finite number >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(baseline, RunLedger):
@@ -469,11 +564,14 @@ def diff_trajectory(
 
 __all__ = [
     "BENCH_LEDGER_NAME",
+    "BenchDiff",
     "DEFAULT_LAST_K",
+    "DEFAULT_THRESHOLD",
     "LEDGER_DIRNAME",
     "LEDGER_SCHEMA",
     "LEDGER_SCHEMA_V1",
     "MIN_COMPARABLE_SECONDS",
+    "PhaseDelta",
     "RunLedger",
     "RunRecord",
     "diff_trajectory",

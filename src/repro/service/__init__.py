@@ -6,8 +6,7 @@ bounded queue (:mod:`.queues`) into incremental feature extraction
 backed by the shared LRU memo (:mod:`.cache`), scoring batches through
 the compiled forest (:mod:`repro.ml.compiled`) — see
 :class:`~repro.service.sniffer.SnifferService`.  :mod:`.health` adds
-the service watchdog rules, :mod:`.soak` the chaos soak harness, and
-:mod:`.bench` the latency/throughput workload.
+the service watchdog rules and :mod:`.soak` the chaos soak harness.
 
 This ``__init__`` resolves its exports lazily (PEP 562): the feature
 extractor imports :class:`LRUCache` from :mod:`.cache`, and an eager
@@ -29,14 +28,12 @@ _EXPORTS = {
     "SoakOutcome": ".soak",
     "cache_hit_collapse_rule": ".health",
     "queue_saturation_rule": ".health",
-    "run_service_bench": ".bench",
     "run_service_soak": ".soak",
     "service_rules": ".health",
     "synthetic_detector": ".soak",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
-    from .bench import run_service_bench
     from .cache import LRUCache
     from .health import (
         cache_hit_collapse_rule,

@@ -108,6 +108,25 @@ class TestArtifactWrites:
     def test_read_open_passes(self):
         assert [f for f in lint(CLEAN) if f.rule == "RPL205"] == []
 
+    def test_bench_module_is_no_longer_a_sanctioned_writer(
+        self, tmp_path
+    ):
+        # Only the named obs serializers are exempt: a bench module
+        # gets flagged like any library code, the ledger writer not.
+        source = (
+            "from pathlib import Path\n"
+            "\n"
+            "def save(path):\n"
+            "    Path(path).write_text('{}')\n"
+        )
+        for name in ("bench.py", "ledger.py"):
+            module = tmp_path / "repro" / "obs" / name
+            module.parent.mkdir(parents=True, exist_ok=True)
+            module.write_text(source)
+        findings, _ = run_lint([tmp_path / "repro"], root=tmp_path)
+        assert rule_lines(findings, "RPL205", "bench.py") == [4]
+        assert rule_lines(findings, "RPL205", "ledger.py") == []
+
 
 class TestLedgerWrites:
     def test_raw_ledger_writes_flagged_with_lines(self):

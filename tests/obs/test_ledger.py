@@ -1,12 +1,13 @@
 """RunLedger/RunRecord: round-trip, recovery, and trajectory gating."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.obs import RunLedger, RunRecord, diff_trajectory, stable_digest
-from repro.obs.bench import BenchResult
 from repro.obs.ledger import LEDGER_SCHEMA, LEDGER_SCHEMA_V1
 
 
@@ -56,7 +57,7 @@ class TestRunRecord:
 
     def test_wrong_schema_rejected(self):
         payload = record("r1").to_dict()
-        payload["schema"] = "repro-bench/1"
+        payload["schema"] = "repro-ledger/999"
         with pytest.raises(ValueError, match="repro-ledger/2"):
             RunRecord.from_dict(payload)
 
@@ -105,18 +106,38 @@ class TestRunRecord:
         assert rec.value("phases.experiment.classify.nope") is None
         assert rec.value("nonsense.key") is None
 
-    def test_from_bench_wraps_result(self):
-        bench = BenchResult(
-            meta={"runid": "b1", "scale": "micro", "workers": 2},
-            phases={"experiment.warm_up": {"wall_s": 0.5}},
-            totals={"wall_s": 0.5},
-        )
-        rec = RunRecord.from_bench(bench, extra="yes")
-        assert rec.kind == "bench"
-        assert rec.runid == "b1"
-        assert "runid" not in rec.meta
-        assert rec.meta["extra"] == "yes"
-        assert rec.phases["experiment.warm_up"]["wall_s"] == 0.5
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -0.5, True, "1.0", None]
+    )
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("totals", "wall_s"),
+            ("totals", "max_rss_kb"),
+            ("phases", "wall_s"),
+            ("phases", "calls"),
+        ],
+    )
+    def test_unusable_timings_rejected(self, section, key, bad):
+        payload = record("r1").to_dict()
+        if section == "phases":
+            payload["phases"]["experiment.classify"][key] = bad
+        else:
+            payload["totals"][key] = bad
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            RunRecord.from_dict(payload)
+
+    def test_zero_and_integer_timings_accepted(self):
+        payload = record("r1").to_dict()
+        payload["totals"].update(wall_s=0, alerts_fired=3)
+        payload["phases"]["experiment.classify"]["max_rss_kb"] = 0.0
+        assert RunRecord.from_dict(payload).totals["alerts_fired"] == 3
+
+    def test_committed_ledger_loads_without_skips(self):
+        ledger = RunLedger.default(Path(__file__).resolve().parents[2])
+        records, skipped = ledger.scan()
+        assert len(records) >= 6
+        assert skipped == 0
 
 
 class TestStableDigest:
@@ -172,6 +193,21 @@ class TestRunLedger:
         assert [rec.runid for rec in records] == ["r1", "r2"]
         assert skipped == 3
         assert ledger.load() == records
+
+    def test_unusable_timing_lines_counted_as_skipped(self, tmp_path):
+        ledger = RunLedger(tmp_path / "runs.jsonl")
+        ledger.append(record("r1"))
+        ledger.append(record("nan", wall=math.nan))
+        ledger.append(record("neg", wall=-1.0))
+        text = record("str").canonical_json().replace(
+            '"wall_s":2.0', '"wall_s":"2.0"'
+        )
+        with ledger.path.open("a", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        ledger.append(record("r2"))
+        records, skipped = ledger.scan()
+        assert [rec.runid for rec in records] == ["r1", "r2"]
+        assert skipped == 3
 
     def test_empty_file_scans_clean(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -290,17 +326,32 @@ class TestDiffTrajectory:
         ledger = RunLedger(tmp_path / "runs.jsonl")
         for i in range(3):
             ledger.append(record(f"h{i}", wall=1.0))
-        current = BenchResult(
-            meta={"runid": "new"},
-            phases={"experiment.classify": {"wall_s": 1.0}},
-            totals={"wall_s": 2.0},
-        )
-        assert diff_trajectory(ledger, current).ok
+        assert diff_trajectory(ledger, record("new", kind="bench")).ok
+
+    def test_unusable_history_cannot_pass_a_slow_run(self, tmp_path):
+        # NaN walls would make the median NaN (no ratio exceeds it)
+        # and a negative one would fall under the comparability
+        # floor; the ledger skips both, so the good line gates.
+        ledger = RunLedger(tmp_path / "runs.jsonl")
+        ledger.append(record("good", wall=1.0))
+        ledger.append(record("nan_1", wall=math.nan))
+        ledger.append(record("nan_2", wall=math.nan))
+        ledger.append(record("negative", wall=-1.0))
+        diff = diff_trajectory(ledger, record("new", wall=100.0))
+        assert diff.previous_runid == "median[1]"
+        assert not diff.ok
 
     def test_validates_inputs(self):
         history = [record("h1")]
         with pytest.raises(ValueError):
             diff_trajectory(history, record("new"), threshold=-1.0)
+        # A NaN threshold makes every ratio comparison false, so a
+        # 100x slower run would pass.
+        for threshold in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                diff_trajectory(
+                    history, record("new"), threshold=threshold
+                )
         with pytest.raises(ValueError):
             diff_trajectory(history, record("new"), k=0)
         with pytest.raises(ValueError, match="no baseline"):
