@@ -39,9 +39,11 @@ PYTHONPATH=src python -m pytest -x -q
 
 echo "== tier-1 smoke subset under REPRO_WORKERS=2 =="
 # The parallel layer must not change any result: rerun the suites
-# covering the pool-backed hot paths, the committed golden digests,
-# and the chaos harness (whose capture-reconciliation invariants must
-# hold under a pool too) with a 2-worker default.
+# covering the pool-backed hot paths, the committed golden digests
+# (trees, worlds under the sharded engine, and the scoring path with
+# a pooled forest fit), and the chaos harness (whose
+# capture-reconciliation invariants must hold under a pool too) with
+# a 2-worker default.
 REPRO_WORKERS=2 PYTHONPATH=src python -m pytest -q \
     tests/parallel tests/ml tests/labeling tests/chaos tests/golden
 

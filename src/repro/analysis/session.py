@@ -24,6 +24,7 @@ from ..baselines.random_monitor import RandomAccountSelector
 from ..core.detector import (
     ClassificationOutcome,
     PseudoHoneypotDetector,
+    join_labels,
 )
 from ..core.experiment import NetworkRun, PseudoHoneypotExperiment
 from ..core.network import PseudoHoneypotNetwork
@@ -156,22 +157,10 @@ class ReproSession:
     @cached_property
     def training_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, y) of the ground truth, for the Table IV comparison."""
-        dataset = self.ground_truth
-        label_of = {
-            tweet.tweet_id: int(dataset.tweet_labels[i])
-            for i, tweet in enumerate(dataset.tweets)
-        }
-        captures = [
-            c
-            for c in self.ground_truth_run.captures
-            if c.tweet.tweet_id in label_of
-        ]
-        labels = np.array([label_of[c.tweet.tweet_id] for c in captures])
-        scratch = PseudoHoneypotDetector()
-        X = scratch.extract_features(
-            sorted(captures, key=lambda c: c.tweet.created_at),
-            labels,
+        captures, labels = join_labels(
+            self.ground_truth_run.captures, self.ground_truth
         )
+        X = PseudoHoneypotDetector().extract_features(captures, labels)
         return X, labels
 
     @cached_property

@@ -2,10 +2,16 @@
 
 Couples the 58-feature extractor with a pluggable classifier (the paper
 deploys Random Forest with 70 trees after the Table-IV comparison).
-Training consumes the ground-truth dataset; classification runs over
-captured streams in timestamp order, feeding every confirmed spam back
-into the environment-score tracker — the paper's online
-reverse-engineering loop.
+
+Every scoring caller runs one kernel, the paper's online
+reverse-engineering loop: :func:`time_order` puts captures in time
+order, :func:`extract_rows` extracts each capture's row (feeding a
+training label back right after its own row), and
+:meth:`PseudoHoneypotDetector.score` classifies one chunk and feeds its
+confirmed spams into the environment-score tracker before the next
+chunk.  Training (``fit``), batch classification (``classify``) and the
+always-on service (:class:`repro.service.sniffer.SnifferService`) all
+go through it, so their rows and verdicts agree by construction.
 """
 
 from __future__ import annotations
@@ -16,11 +22,62 @@ import numpy as np
 
 from ..features.environment import EnvironmentScoreTracker
 from ..features.extractor import FeatureExtractor
+from ..features.schema import N_FEATURES
 from ..labeling.pipeline import LabeledDataset
 from ..ml.base import Classifier
 from ..ml.forest import RandomForestClassifier
 from ..obs import get_registry, trace
 from .monitor import CapturedTweet
+
+#: A row is flagged as spam at this probability or above: ``predict``'s
+#: rule for the forest and the decision tree the detector is built with.
+SPAM_THRESHOLD = 0.5
+
+
+def time_order(captures: list[CapturedTweet]) -> np.ndarray:
+    """Indices that put captures in time order; ties keep input order.
+
+    Ties are real: the engine clamps spam that reacts to an earlier
+    hour's post to the hour's first instant, so several captures can
+    share one stamp.
+    """
+    return np.argsort([c.tweet.created_at for c in captures], kind="stable")
+
+
+def extract_rows(
+    extractor: FeatureExtractor,
+    captures: list[CapturedTweet],
+    labels: np.ndarray | None = None,
+) -> np.ndarray:
+    """(n, 58) feature rows of time-ordered captures, one row each.
+
+    With ``labels`` (training), each labeled spam reaches the
+    environment tracker right after its own row, as it would during
+    live collection.
+    """
+    rows = np.empty((len(captures), N_FEATURES))
+    for i, capture in enumerate(captures):
+        extractor.set_honeypot_ids(set(capture.node_user_ids))
+        rows[i] = extractor.extract(capture.tweet, capture.attribute_keys)
+        if labels is not None and labels[i]:
+            extractor.environment.record_spam(capture.attribute_keys)
+    return rows
+
+
+def join_labels(
+    captures: list[CapturedTweet], dataset: LabeledDataset
+) -> tuple[list[CapturedTweet], np.ndarray]:
+    """The captures ``dataset`` labeled, in time order, with their labels.
+
+    Captures whose tweets the dataset never labeled are skipped.
+    """
+    label_of = {
+        tweet.tweet_id: int(label)
+        for tweet, label in zip(dataset.tweets, dataset.tweet_labels)
+    }
+    kept = [c for c in captures if c.tweet.tweet_id in label_of]
+    kept = [kept[i] for i in time_order(kept)]
+    return kept, np.array([label_of[c.tweet.tweet_id] for c in kept])
 
 
 def default_classifier(seed: int = 0) -> RandomForestClassifier:
@@ -97,21 +154,18 @@ class PseudoHoneypotDetector:
     def extract_features(
         self, captures: list[CapturedTweet], labels: np.ndarray | None = None
     ) -> np.ndarray:
-        """(n, 58) features of captures, in timestamp order.
+        """(n, 58) features of captures, in time order.
 
-        When ``labels`` is given (training), confirmed spams update the
-        environment tracker as they stream past, exactly as they would
-        during live collection.
+        When ``labels`` is given (training, aligned with ``captures``),
+        labeled spams update the environment tracker as they stream
+        past, exactly as they would during live collection.
         """
-        captures = sorted(captures, key=lambda c: c.tweet.created_at)
-        extractor = FeatureExtractor(environment=self.environment)
-        rows = np.empty((len(captures), 58))
-        for i, capture in enumerate(captures):
-            extractor.set_honeypot_ids(set(capture.node_user_ids))
-            rows[i] = extractor.extract(capture.tweet, capture.attribute_keys)
-            if labels is not None and labels[i]:
-                extractor.notify_spam(capture.tweet, capture.attribute_keys)
-        return rows
+        order = time_order(captures)
+        return extract_rows(
+            FeatureExtractor(environment=self.environment),
+            [captures[i] for i in order],
+            None if labels is None else np.asarray(labels)[order],
+        )
 
     def fit(
         self, captures: list[CapturedTweet], labels: np.ndarray
@@ -125,17 +179,15 @@ class PseudoHoneypotDetector:
             raise ValueError("captures and labels must align")
         if len(captures) == 0:
             raise ValueError("cannot fit on an empty capture set")
-        order = np.argsort([c.tweet.created_at for c in captures])
-        captures = [captures[i] for i in order]
-        labels = np.asarray(labels)[order]
         with trace("ml.fit") as span:
             with trace("ml.extract_features") as extract_span:
                 X = self.extract_features(captures, labels)
                 extract_span.set(n_rows=X.shape[0], n_features=X.shape[1])
-            self.classifier.fit(X, labels)
+            y = np.asarray(labels)[time_order(captures)]
+            self.classifier.fit(X, y)
             span.set(
                 n_samples=len(captures),
-                n_spam_labels=int(np.asarray(labels).sum()),
+                n_spam_labels=int(y.sum()),
                 classifier=type(self.classifier).__name__,
             )
         get_registry().counter("ml.fits").inc()
@@ -149,53 +201,51 @@ class PseudoHoneypotDetector:
 
         Captures whose tweets the dataset never labeled are skipped.
         """
-        label_of = {
-            tweet.tweet_id: int(dataset.tweet_labels[i])
-            for i, tweet in enumerate(dataset.tweets)
-        }
-        kept = [c for c in captures if c.tweet.tweet_id in label_of]
-        labels = np.array([label_of[c.tweet.tweet_id] for c in kept])
-        return self.fit(kept, labels)
+        return self.fit(*join_labels(captures, dataset))
+
+    def score(
+        self, extractor: FeatureExtractor, chunk: list[CapturedTweet]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Feature rows and spam probabilities of one time-ordered chunk.
+
+        The rows see the environment as of the previous chunk; the
+        chunk's verdicts (``p_spam >= SPAM_THRESHOLD``) then reach the
+        extractor's environment tracker before the next chunk — the
+        paper's online feedback loop at batch granularity (predicting
+        tweet by tweet would forfeit vectorized inference for no
+        behavioral difference at this timescale).
+        """
+        X = extract_rows(extractor, chunk)
+        p_spam = np.asarray(self.classifier.predict_proba(X))[:, 1]
+        for capture, p in zip(chunk, p_spam):
+            if p >= SPAM_THRESHOLD:
+                extractor.environment.record_spam(capture.attribute_keys)
+        return X, p_spam
 
     def classify(
         self, captures: list[CapturedTweet], chunk_size: int = 2_000
     ) -> ClassificationOutcome:
         """Classify a captured stream; spams update environment scores.
 
-        The stream is processed in timestamp-ordered chunks: features
-        of a chunk are extracted with the environment state as of the
-        previous chunk, the chunk is classified, and its confirmed
-        spams update the tracker before the next chunk — the paper's
-        online feedback loop at batch granularity (predicting tweet by
-        tweet would forfeit vectorized inference for no behavioral
-        difference at this timescale).
+        The stream is scored in time-ordered chunks of ``chunk_size``
+        through :meth:`score`, one extractor across all of them.
 
         Raises:
             RuntimeError: if the detector was never fitted.
         """
         if not self._fitted:
             raise RuntimeError("detector must be fit before classifying")
-        order = np.argsort([c.tweet.created_at for c in captures])
-        ordered = [captures[i] for i in order]
+        ordered = [captures[i] for i in time_order(captures)]
         extractor = FeatureExtractor(environment=self.environment)
         is_spam = np.zeros(len(ordered), dtype=np.int64)
-        spammer_ids: set[int] = set()
         for start in range(0, len(ordered), chunk_size):
             chunk = ordered[start : start + chunk_size]
-            X = np.empty((len(chunk), 58))
-            for i, capture in enumerate(chunk):
-                extractor.set_honeypot_ids(set(capture.node_user_ids))
-                X[i] = extractor.extract(
-                    capture.tweet, capture.attribute_keys
-                )
-            verdicts = np.asarray(
-                self.classifier.predict(X), dtype=np.int64
-            )
-            is_spam[start : start + len(chunk)] = verdicts
-            for capture, spam in zip(chunk, verdicts):
-                if spam:
-                    spammer_ids.add(capture.sender_id)
-                    self.environment.record_spam(capture.attribute_keys)
+            __, p_spam = self.score(extractor, chunk)
+            is_spam[start : start + len(chunk)] = p_spam >= SPAM_THRESHOLD
         return ClassificationOutcome(
-            captures=ordered, is_spam=is_spam, spammer_ids=spammer_ids
+            captures=ordered,
+            is_spam=is_spam,
+            spammer_ids={
+                c.sender_id for c, spam in zip(ordered, is_spam) if spam
+            },
         )

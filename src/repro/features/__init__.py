@@ -1,7 +1,7 @@
 """Feature extraction: the paper's 58 tweet features (Section IV-A)."""
 
 from .behavior import BehaviorTracker, UserActivity
-from .content import content_features, normalize_text_for_dedup
+from .content import normalize_text_for_dedup
 from .environment import EnvironmentScoreTracker
 from .extractor import NO_MENTION_TIME, FeatureExtractor
 from .profile import empty_profile_features, profile_features
@@ -28,7 +28,6 @@ __all__ = [
     "NO_MENTION_TIME",
     "PROFILE_FEATURE_NAMES",
     "UserActivity",
-    "content_features",
     "count_digits",
     "count_emoji",
     "empty_profile_features",

@@ -44,23 +44,6 @@ class UserActivity:
     last_tweet_at: float | None = None
     total_interval: float = 0.0
 
-    def kind_fractions(self) -> np.ndarray:
-        """(tweet, retweet, quote) fractions; zeros before any tweet.
-
-        Each :meth:`record` adds exactly one count, so ``n_tweets`` is
-        the counts' sum — no per-call reduction needed (the int
-        divisor converts to the identical float64).
-        """
-        total = self.n_tweets
-        return self.kind_counts / total if total else self.kind_counts.copy()
-
-    def source_fractions(self) -> np.ndarray:
-        """(web, mobile, third-party, other) fractions."""
-        total = self.n_tweets
-        return (
-            self.source_counts / total if total else self.source_counts.copy()
-        )
-
     def average_interval(self) -> float:
         """Mean seconds between consecutive observed tweets (0 if < 2)."""
         n_gaps = self.n_tweets - 1

@@ -1,13 +1,13 @@
-"""The 8 tweet-content features (Section IV-A, "Tweet Contents")."""
+"""Codes of the 8 tweet-content features (Section IV-A, "Tweet Contents").
+
+The extractor writes the content block (slots 32-39) itself; this
+module holds the kind and source codes and the dedup normalization it
+reads.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..twittersim.entities import Tweet, TweetKind, TweetSource
-from .textstats import count_digits, count_emoji
-
-N_CONTENT_FEATURES = 8
+from ..twittersim.entities import TweetKind, TweetSource
 
 _KIND_CODE = {
     TweetKind.TWEET: 0.0,
@@ -36,25 +36,3 @@ def normalize_text_for_dedup(text: str) -> str:
     ]
     return " ".join(tokens)
 
-
-def content_features(tweet: Tweet, repeated: bool) -> np.ndarray:
-    """The 8 content features of one tweet.
-
-    Args:
-        tweet: the tweet record.
-        repeated: whether this (normalized) text was seen before in the
-            collection window — tracked by the extractor, which owns
-            the dedup memory.
-    """
-    return np.array(
-        [
-            float(repeated),
-            _KIND_CODE[tweet.kind],
-            _SOURCE_CODE[tweet.source],
-            float(len(tweet.hashtags)),
-            float(len(tweet.mentions)),
-            float(len(tweet.text)),
-            float(count_emoji(tweet.text)),
-            float(count_digits(tweet.text)),
-        ]
-    )

@@ -6,7 +6,10 @@ needs a dedup memory, receiver-profile features need a profile cache,
 and the environment score needs the per-attribute group-likelihood
 tracker.  Feed it captured tweets in timestamp order; each call
 extracts the feature vector *from the past only* and then folds the
-tweet into the state (no self-leakage).
+tweet into the state (no self-leakage).  The capture-row loop that
+drives it, and feeds confirmed spams back into the environment
+tracker, is :func:`repro.core.detector.extract_rows`, so this package
+never sees a capture.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import get_registry
-from ..service.cache import LRUCache
 from ..twittersim.entities import Tweet, UserProfile
 from .behavior import BehaviorTracker
+from .cache import LRUCache
 from .content import (
     _KIND_CODE,
     _SOURCE_CODE,
@@ -169,9 +172,6 @@ class FeatureExtractor:
             if receiver_profile is not None
             else empty_profile_features()
         )
-        # Content slots written directly (scalar stores into the
-        # float64 row are bitwise-equal to routing them through
-        # ``content_features``'s temporary array).
         vector[32] = repeated
         vector[33] = _KIND_CODE[tweet.kind]
         vector[34] = _SOURCE_CODE[tweet.source]
@@ -181,9 +181,10 @@ class FeatureExtractor:
         vector[38] = n_emoji
         vector[39] = n_digits
         vector[40] = float(reciprocity)
-        # Fraction blocks divide straight into the row (``np.divide``
-        # with ``out=`` is the same element-wise division, minus the
-        # temporary each ``*_fractions()`` call would allocate).
+        # Kind and source fractions (slots 41-54) divide the running
+        # counts straight into the row; a user with no history reads
+        # zeros.  Each record adds exactly one count, so ``n_tweets``
+        # is the counts' sum.
         n_sender = sender_activity.n_tweets
         if n_sender:
             np.divide(
@@ -223,25 +224,6 @@ class FeatureExtractor:
         self._update(tweet, normalized, attributes)
         return vector
 
-    def extract_batch(
-        self,
-        tweets: list[Tweet],
-        attributes: list[tuple[str, ...]] | None = None,
-    ) -> np.ndarray:
-        """Extract a (n, 58) matrix from tweets in timestamp order.
-
-        Raises:
-            ValueError: if ``attributes`` is given with a length
-                different from ``tweets``.
-        """
-        if attributes is not None and len(attributes) != len(tweets):
-            raise ValueError("attributes must align with tweets")
-        rows = np.empty((len(tweets), N_FEATURES))
-        for i, tweet in enumerate(tweets):
-            attrs = attributes[i] if attributes is not None else ()
-            rows[i] = self.extract(tweet, attrs)
-        return rows
-
     @property
     def profile_cache_hits(self) -> int:
         """Profile-feature memo hits since construction."""
@@ -264,12 +246,6 @@ class FeatureExtractor:
             return fresh
         self._m_pf_hits.inc()
         return refresh_age_slots(base, profile, now)
-
-    def notify_spam(
-        self, tweet: Tweet, attributes: tuple[str, ...] = ()
-    ) -> None:
-        """Report a confirmed spam so group-likelihood scores update."""
-        self.environment.record_spam(attributes)
 
     # ------------------------------------------------------------------
 

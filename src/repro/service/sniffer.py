@@ -2,19 +2,21 @@
 
 Turns the batch pipeline (select → monitor → label → train →
 classify) into a long-running deployment shape: captured tweets flow
-through a bounded ingestion queue on a virtual-clock scheduler,
-features are extracted incrementally per tweet against the shared
-LRU profile-feature cache, and batches are scored through the
-compiled-forest inference path, feeding confirmed spams back into the
-environment-score tracker exactly as live collection would.
+through a bounded ingestion queue on a virtual-clock scheduler, and
+each flushed batch goes through the detector's one scoring kernel,
+:meth:`PseudoHoneypotDetector.score` — extraction against the
+service's long-lived extractor, compiled-forest inference, and the
+environment-score feedback exactly as live collection would.
 
 Semantics contract with the batch path: a zero-fault service run over
 a fixed capture set, with ``batch_size`` equal to ``classify``'s
 ``chunk_size`` and the flush deadline out of reach, produces verdicts
-**bitwise-identical** to :meth:`PseudoHoneypotDetector.classify` —
-same ordering, same chunk boundaries for the environment-score
-feedback, same compiled forest.  ``tests/service/test_service.py``
-pins this, including at every worker count.
+**bitwise-identical** to :meth:`PseudoHoneypotDetector.classify`.
+Both order captures with :func:`~repro.core.detector.time_order` and
+score them through the same kernel, so only the chunk boundaries could
+differ, and under that condition they do not.
+``tests/service/test_service.py`` and ``tests/golden`` pin this,
+including at every worker count.
 
 Determinism: the loop never consults wall time for control flow.
 ``time.perf_counter()`` appears only on the measurement path (latency
@@ -33,13 +35,14 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.detector import PseudoHoneypotDetector
+from ..core.detector import (
+    SPAM_THRESHOLD,
+    PseudoHoneypotDetector,
+    time_order,
+)
 from ..core.monitor import CapturedTweet
 from ..core.network import PseudoHoneypotNetwork
 from ..features.extractor import FeatureExtractor
-from ..features.schema import N_FEATURES
 from ..obs import emit, get_registry
 from .queues import BoundedQueue
 from .scheduler import EventScheduler
@@ -112,8 +115,6 @@ class SnifferService:
         flush_interval_s: virtual-clock deadline for partial batches.
         profile_cache_cap: LRU entry cap for the extractor's
             profile-feature memo (None = extractor default).
-        keep_features: retain every scored feature row for
-            batch-vs-service equality tests (memory-heavy; tests only).
 
     Raises:
         RuntimeError: if the detector was never fitted.
@@ -129,7 +130,6 @@ class SnifferService:
         batch_size: int = DEFAULT_BATCH_SIZE,
         flush_interval_s: float = DEFAULT_FLUSH_INTERVAL_S,
         profile_cache_cap: int | None = None,
-        keep_features: bool = False,
     ) -> None:
         if not detector.fitted:
             raise RuntimeError(
@@ -166,9 +166,6 @@ class SnifferService:
         self._deadline_scheduled = False
         self._score_wall_s = 0.0
         self._latencies_ms: list[float] = []
-        self._feature_rows: list[np.ndarray] | None = (
-            [] if keep_features else None
-        )
         # Lazily registered here — never at import time — so runs
         # without a service keep a byte-identical metrics snapshot.
         registry = get_registry()
@@ -242,17 +239,13 @@ class SnifferService:
         if not batch:
             return
         start = time.perf_counter()
-        X = np.empty((len(batch), N_FEATURES))
-        for i, capture in enumerate(batch):
-            self.extractor.set_honeypot_ids(set(capture.node_user_ids))
-            X[i] = self.extractor.extract(
-                capture.tweet, capture.attribute_keys
-            )
-        proba = np.asarray(self.detector.classifier.predict_proba(X))[:, 1]
+        # Confirmed spams reach the environment inside ``score``,
+        # before the next batch extracts — classify()'s cadence.
+        __, p_spam = self.detector.score(self.extractor, batch)
         elapsed = time.perf_counter() - start
         n_spams = 0
-        for capture, p in zip(batch, proba):
-            spam = bool(p >= 0.5)
+        for capture, p in zip(batch, p_spam):
+            spam = bool(p >= SPAM_THRESHOLD)
             self.results.append(
                 ScoredTweet(
                     tweet_id=capture.tweet.tweet_id,
@@ -266,12 +259,6 @@ class SnifferService:
             if spam:
                 n_spams += 1
                 self.spammer_ids.add(capture.sender_id)
-                # The online feedback loop: confirmed spams raise the
-                # group likelihood of the capturing attributes before
-                # the next batch extracts — same cadence as classify().
-                self.detector.environment.record_spam(
-                    capture.attribute_keys
-                )
         self.scored += len(batch)
         self.batches += 1
         self._m_scored.inc(len(batch))
@@ -282,8 +269,6 @@ class SnifferService:
         self._score_wall_s += elapsed
         self._latencies_ms.append(elapsed * 1000.0)
         self._m_latency.observe(elapsed * 1000.0)
-        if self._feature_rows is not None:
-            self._feature_rows.append(X)
         emit(
             "service.batch_scored",
             n=len(batch),
@@ -336,13 +321,12 @@ class SnifferService:
     def replay(self, captures: list[CapturedTweet]) -> ServiceStats:
         """Score a fixed capture set through the full service loop.
 
-        Orders captures exactly as the batch path does (same argsort),
-        schedules each arrival at its creation time, and drains — the
-        offline entry point the parity tests and the bench workload
-        share.
+        Orders captures exactly as the batch path does
+        (:func:`~repro.core.detector.time_order`), schedules each
+        arrival at its creation time, and drains — the offline entry
+        point the parity tests and the bench workload share.
         """
-        order = np.argsort([c.tweet.created_at for c in captures])
-        for i in order:
+        for i in time_order(captures):
             self.ingest(captures[i])
         self.scheduler.run_all()
         self.drain()
@@ -382,22 +366,6 @@ class SnifferService:
                 else 0.0
             ),
         )
-
-    def feature_matrix(self) -> np.ndarray:
-        """Every scored feature row (requires ``keep_features=True``).
-
-        Raises:
-            RuntimeError: if the service was not built with
-                ``keep_features=True``.
-        """
-        if self._feature_rows is None:
-            raise RuntimeError(
-                "construct SnifferService(keep_features=True) to "
-                "retain feature rows"
-            )
-        if not self._feature_rows:
-            return np.empty((0, N_FEATURES))
-        return np.vstack(self._feature_rows)
 
 
 __all__ = [

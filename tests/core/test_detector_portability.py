@@ -1,8 +1,11 @@
 """Tests for the detector and the Active/Dormant policy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.analysis.session import ReproSession
 from repro.core.detector import PseudoHoneypotDetector, default_classifier
 from repro.core.portability import ActivityPolicy
 from repro.ml.tree import DecisionTreeClassifier
@@ -93,3 +96,39 @@ class TestDetector:
         outcome = detector.classify(run.captures)
         if outcome.n_spams:
             assert detector.environment.snapshot()
+
+    def test_labels_travel_with_shuffled_captures(self, tiny_session):
+        # Out-of-order delivery leaves capture lists unsorted; each
+        # label must still feed back after its own capture's row, and
+        # the training matrix must keep every label beside its row.
+        # Captures stamped with one instant keep their relative order,
+        # as time order's tie rule does.
+        run = tiny_session.ground_truth_run
+        dataset = tiny_session.ground_truth
+        label_of = dict(
+            zip(
+                (tweet.tweet_id for tweet in dataset.tweets),
+                dataset.tweet_labels,
+            )
+        )
+        captures = [c for c in run.captures if c.tweet.tweet_id in label_of]
+        labels = np.array([label_of[c.tweet.tweet_id] for c in captures])
+        __, instant = np.unique(
+            [c.tweet.created_at for c in captures], return_inverse=True
+        )
+        key = np.random.default_rng(5).random(instant.max() + 1)[instant]
+        shuffle = np.argsort(key, kind="stable")
+        shuffled = [captures[i] for i in shuffle]
+        assert np.array_equal(
+            PseudoHoneypotDetector().extract_features(captures, labels),
+            PseudoHoneypotDetector().extract_features(
+                shuffled, labels[shuffle]
+            ),
+        )
+        session = ReproSession(tiny_session.scale)
+        session.ground_truth_run = dataclasses.replace(run, captures=shuffled)
+        session.ground_truth = dataset
+        X, y = session.training_matrix
+        X_ref, y_ref = tiny_session.training_matrix
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(y, y_ref)

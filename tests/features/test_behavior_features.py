@@ -48,27 +48,9 @@ def tweet(
 class TestUserActivity:
     def test_fresh_activity_is_zeroed(self):
         activity = UserActivity()
-        assert activity.kind_fractions().sum() == 0.0
-        assert activity.source_fractions().sum() == 0.0
+        assert activity.kind_counts.sum() == 0.0
+        assert activity.source_counts.sum() == 0.0
         assert activity.average_interval() == 0.0
-
-    def test_kind_fractions(self):
-        activity = UserActivity()
-        for kind in (TweetKind.TWEET, TweetKind.TWEET, TweetKind.RETWEET):
-            activity.record(tweet(1, 10.0, kind=kind))
-        fractions = activity.kind_fractions()
-        assert fractions[0] == pytest.approx(2 / 3)
-        assert fractions[1] == pytest.approx(1 / 3)
-        assert fractions[2] == 0.0
-
-    def test_source_fractions(self):
-        activity = UserActivity()
-        activity.record(tweet(1, 1.0, source=TweetSource.MOBILE))
-        activity.record(tweet(1, 2.0, source=TweetSource.MOBILE))
-        activity.record(tweet(1, 3.0, source=TweetSource.OTHER))
-        fractions = activity.source_fractions()
-        assert fractions[1] == pytest.approx(2 / 3)  # mobile slot
-        assert fractions[3] == pytest.approx(1 / 3)  # other slot
 
     def test_average_interval(self):
         activity = UserActivity()

@@ -130,6 +130,47 @@ class TestExtraction:
         second = extractor.extract(tweet(1, 2.0))
         assert second[idx] == 1.0  # history = one TWEET
 
+    def test_kind_share_slots(self):
+        # Sender kinds in slots 41-43, receiver kinds in 44-46: running
+        # counts over the user's past tweets, zeros before any.
+        extractor = FeatureExtractor()
+        kinds = (TweetKind.TWEET, TweetKind.TWEET, TweetKind.RETWEET)
+        first = extractor.extract(
+            tweet(1, 0.0, kind=kinds[0], mentions=(Mention(2, "user2"),))
+        )
+        for at, kind in enumerate(kinds[1:], start=1):
+            extractor.extract(tweet(1, float(at), kind=kind))
+        sender = extractor.extract(tweet(1, 10.0))
+        receiver = extractor.extract(
+            tweet(2, 11.0, mentions=(Mention(1, "user1"),))
+        )
+        assert not first[41:47].any()
+        assert sender[41:44].tolist() == pytest.approx([2 / 3, 1 / 3, 0.0])
+        assert receiver[41:44].tolist() == [0.0, 0.0, 0.0]
+        assert receiver[44:47].tolist() == pytest.approx([0.75, 0.25, 0.0])
+
+    def test_source_share_slots(self):
+        # Sender sources (web, mobile, third-party, other) in slots
+        # 47-50, receiver sources in 51-54.
+        extractor = FeatureExtractor()
+        sources = (TweetSource.MOBILE, TweetSource.MOBILE, TweetSource.OTHER)
+        first = extractor.extract(
+            tweet(1, 0.0, source=sources[0], mentions=(Mention(2, "user2"),))
+        )
+        for at, source in enumerate(sources[1:], start=1):
+            extractor.extract(tweet(1, float(at), source=source))
+        sender = extractor.extract(tweet(1, 10.0))
+        receiver = extractor.extract(
+            tweet(2, 11.0, mentions=(Mention(1, "user1"),))
+        )
+        assert not first[47:55].any()
+        assert sender[47:51].tolist() == pytest.approx(
+            [0.0, 2 / 3, 0.0, 1 / 3]
+        )
+        assert receiver[51:55].tolist() == pytest.approx(
+            [0.25, 0.5, 0.0, 0.25]
+        )
+
     def test_average_interval_feature(self):
         extractor = FeatureExtractor()
         idx = feature_index("avg_tweet_interval")
@@ -145,22 +186,8 @@ class TestExtraction:
         baseline = extractor.extract(tweet(1, 1.0), attrs)[idx]
         spammy = tweet(2, 2.0)
         extractor.extract(spammy, attrs)
-        extractor.notify_spam(spammy, attrs)
+        extractor.environment.record_spam(attrs)
         after = extractor.extract(tweet(3, 3.0), attrs)[idx]
         assert baseline == extractor.environment.tau
         assert after > baseline
 
-
-class TestBatch:
-    def test_batch_matches_sequential(self):
-        tweets = [tweet(i % 3 + 1, float(i)) for i in range(10)]
-        a = FeatureExtractor().extract_batch(list(tweets))
-        b = FeatureExtractor()
-        rows = np.array([b.extract(t) for t in tweets])
-        assert np.allclose(a, rows)
-
-    def test_batch_attribute_alignment_checked(self):
-        with pytest.raises(ValueError):
-            FeatureExtractor().extract_batch(
-                [tweet(1, 1.0)], attributes=[(), ()]
-            )

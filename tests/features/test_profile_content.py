@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.features.content import content_features, normalize_text_for_dedup
+from repro.features.content import normalize_text_for_dedup
+from repro.features.extractor import FeatureExtractor
 from repro.features.profile import (
     N_PROFILE_FEATURES,
     empty_profile_features,
@@ -88,8 +89,14 @@ class TestContentFeatures:
         return Tweet(**base)
 
     def test_vector_values(self):
+        # Content slots 32-39 of the extractor's row; an earlier copy
+        # of the text (to another victim) makes this one repeated.
+        extractor = FeatureExtractor()
+        extractor.extract(
+            self.make_tweet(tweet_id=0, created_at=-60.0, mentions=())
+        )
         tweet = self.make_tweet()
-        vector = content_features(tweet, repeated=True)
+        vector = extractor.extract(tweet)[32:40]
         assert vector[0] == 1.0  # repeated
         assert vector[1] == 1.0  # retweet
         assert vector[2] == 2.0  # third party
@@ -100,7 +107,7 @@ class TestContentFeatures:
         assert vector[7] == 2.0  # digits "99"
 
     def test_not_repeated_flag(self):
-        assert content_features(self.make_tweet(), repeated=False)[0] == 0.0
+        assert FeatureExtractor().extract(self.make_tweet())[32] == 0.0
 
 
 class TestDedupNormalization:

@@ -13,10 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.detector import extract_rows, time_order
+from repro.features.cache import LRUCache
 from repro.features.extractor import FeatureExtractor
 from repro.features.profile import profile_features
 from repro.obs import get_registry
-from repro.service.cache import LRUCache
 
 
 class TestLRUSemantics:
@@ -84,23 +85,12 @@ class TestLRUSemantics:
 
 
 class TestExtractorCacheEquivalence:
-    def _vectors(self, captures, cap: int | None) -> np.ndarray:
-        extractor = FeatureExtractor(profile_cache_cap=cap)
-        rows = np.empty((len(captures), 58))
-        for i, capture in enumerate(captures):
-            extractor.set_honeypot_ids(set(capture.node_user_ids))
-            rows[i] = extractor.extract(
-                capture.tweet, capture.attribute_keys
-            )
-        return rows
-
     def test_thrashing_cache_is_bitwise_identical(self, capture_stream):
-        ordered = sorted(
-            capture_stream, key=lambda c: c.tweet.created_at
+        ordered = [capture_stream[i] for i in time_order(capture_stream)]
+        default, thrashed, roomy = (
+            extract_rows(FeatureExtractor(profile_cache_cap=cap), ordered)
+            for cap in (None, 1, 1_000_000)
         )
-        default = self._vectors(ordered, None)
-        thrashed = self._vectors(ordered, 1)
-        roomy = self._vectors(ordered, 1_000_000)
         assert np.array_equal(default, thrashed)
         assert np.array_equal(default, roomy)
 
@@ -114,13 +104,9 @@ class TestExtractorCacheEquivalence:
         assert np.array_equal(later, profile_features(profile, 7_200.0))
 
     def test_registry_mirror_matches_cache_counters(self, capture_stream):
-        ordered = sorted(
-            capture_stream, key=lambda c: c.tweet.created_at
-        )
+        ordered = [capture_stream[i] for i in time_order(capture_stream)]
         extractor = FeatureExtractor()
-        for capture in ordered:
-            extractor.set_honeypot_ids(set(capture.node_user_ids))
-            extractor.extract(capture.tweet, capture.attribute_keys)
+        extract_rows(extractor, ordered)
         counters = get_registry().counter_values("features.profile_cache")
         assert counters["features.profile_cache.hits"] == (
             extractor.profile_cache_hits

@@ -40,8 +40,9 @@ def make_service(seed: int = 3, **kwargs) -> SnifferService:
 
 
 def reference_scoring(captures, detector, chunk_size):
-    """Mirror of ``classify``'s chunked loop, also recording X/proba."""
-    order = np.argsort([c.tweet.created_at for c in captures])
+    """The scoring semantics spelled out: chunked rows, probabilities
+    and feedback, written independently of the detector's kernel."""
+    order = np.argsort([c.tweet.created_at for c in captures], kind="stable")
     ordered = [captures[i] for i in order]
     extractor = FeatureExtractor(environment=detector.environment)
     rows, probas = [], []
@@ -91,14 +92,28 @@ class TestBatchParity:
             ),
         )
 
-    def test_feature_rows_and_probabilities_bitwise(self, capture_stream):
+    def test_feature_rows_and_probabilities_bitwise(
+        self, capture_stream, monkeypatch
+    ):
         reference = synthetic_detector(seed=3)
         __, X_ref, proba_ref = reference_scoring(
             capture_stream, reference, BATCH
         )
-        service = make_service(seed=3, keep_features=True)
+        scored = []
+        score = PseudoHoneypotDetector.score
+
+        def spy(detector, extractor, chunk):
+            scored.append(score(detector, extractor, chunk))
+            return scored[-1]
+
+        monkeypatch.setattr(PseudoHoneypotDetector, "score", spy)
+        service = make_service(seed=3)
         service.replay(capture_stream)
-        assert np.array_equal(X_ref, service.feature_matrix())
+        assert len(scored) == service.batches
+        assert np.array_equal(X_ref, np.vstack([X for X, __ in scored]))
+        assert np.array_equal(
+            proba_ref, np.concatenate([p for __, p in scored])
+        )
         assert np.array_equal(
             proba_ref,
             np.array([r.spam_probability for r in service.results]),
@@ -187,14 +202,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SnifferService(detector, queue_capacity=0)
 
-    def test_feature_matrix_requires_opt_in(self, capture_stream):
-        service = make_service()
-        service.replay(capture_stream)
-        with pytest.raises(RuntimeError, match="keep_features"):
-            service.feature_matrix()
+
+def run_fresh(program: str) -> str:
+    """Run ``program`` in a fresh interpreter; return its stdout."""
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=str(pathlib.Path(__file__).resolve().parents[2]),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 class TestLazyMetrics:
+    def test_core_loads_no_service_module(self):
+        # The scoring kernel and the extractor's LRU memo live below
+        # the service layer: the batch pipeline runs without it.
+        program = (
+            "import sys\n"
+            "import repro.core\n"
+            "print([m for m in sys.modules\n"
+            "       if m.split('.')[:2] == ['repro', 'service']])\n"
+        )
+        assert run_fresh(program) == "[]"
+
     def test_no_service_metrics_until_a_service_exists(self):
         # Registered instrument names survive obs.reset() (identity is
         # kept so cached references stay wired), so the only honest
@@ -215,15 +248,7 @@ class TestLazyMetrics:
             "        'service.dropped', 'service.batches'} <= names\n"
             "print('OK')\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", program],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd=str(pathlib.Path(__file__).resolve().parents[2]),
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "OK"
+        assert run_fresh(program) == "OK"
 
     def test_counters_mirror_service_accounting(self, capture_stream):
         service = make_service(queue_capacity=4, batch_size=64)
