@@ -140,18 +140,18 @@ print(
 )
 EOF
 
-echo "== scale smoke (10k-account sharded world) =="
+echo "== scale smoke (10k-account two-shard world) =="
 # The columnar data plane and the sharded hour loop at a size big
 # enough to exercise the array paths yet seconds-fast: build a
-# 10k-account world, run two sharded hours, and assert the engine
-# actually emitted — also at workers=2, which must not change a byte.
+# 10k-account world with two engine shards (one shard never fans
+# out), run two hours, and assert the engine actually emitted — also
+# at workers=2, which must not change a byte.
 PYTHONPATH=src python - <<'EOF'
 import json
 
 from repro.obs import reset, set_enabled
-from repro.twittersim import SimulationConfig, build_population
+from repro.twittersim import SimulationConfig, TwitterEngine, build_population
 from repro.twittersim.columnar import AccountMap
-from repro.twittersim.sharded import build_engine
 
 
 def run(workers: int) -> list[str]:
@@ -161,7 +161,7 @@ def run(workers: int) -> list[str]:
         SimulationConfig(seed=5, n_normal_users=10_000, engine_shards=2)
     )
     assert isinstance(population.accounts, AccountMap), "not columnar"
-    engine = build_engine(population, workers=workers)
+    engine = TwitterEngine(population, workers=workers)
     firehose = []
     engine.subscribe(firehose.append)
     engine.run_hours(2)

@@ -9,8 +9,8 @@ the paper's pipeline end-to-end — at one of three preset scales:
 * ``micro`` — a few seconds; sanity checks and harness tests.
 * ``tiny``  — ~tens of seconds; the default CI perf gate.
 * ``small`` — minutes; local before/after comparisons.
-* ``large`` — the million-account stress run (sharded engine, a few
-  minutes and ~2.5 GB peak RSS); tracks scale regressions, not the
+* ``large`` — the million-account stress run (eight engine shards, a
+  few minutes and ~2.5 GB peak RSS); tracks scale regressions, not the
   per-PR gate.
 
 :func:`run_bench_workload` resets the observability layer, runs the
@@ -56,8 +56,10 @@ def _large_scale(seed: int) -> SessionScale:
 
     One simulated hour emits ~75k tweets, so hour counts are kept
     minimal — the point is columnar memory behavior and wall time per
-    hour at 1M accounts, not statistical power.  The engine runs
-    sharded (``engine_shards=8``); ``post_rate_max`` is tightened so
+    hour at 1M accounts, not statistical power.  The engine splits its
+    post loop into eight account-range shards (``engine_shards=8``, so
+    a pool of up to eight workers can run them; every other workload
+    keeps the default single shard); ``post_rate_max`` is tightened so
     hourly volume stays tractable at this population size.
     """
     return SessionScale(

@@ -34,8 +34,8 @@ from ..obs.ledger import RunLedger, RunRecord, stable_digest
 from ..parallel import executor
 from ..twittersim.api.rest import RestClient
 from ..twittersim.config import SimulationConfig
+from ..twittersim.engine import TwitterEngine
 from ..twittersim.population import build_population
-from ..twittersim.sharded import build_engine
 from .detector import ClassificationOutcome, PseudoHoneypotDetector
 from .monitor import CapturedTweet
 from .network import (
@@ -73,11 +73,11 @@ class PseudoHoneypotExperiment:
         config: world configuration (population, rates, seeds).
         manual_error_rate: human-oracle flip probability for labeling.
         candidate_pool: selector candidate sample per hour.
-        workers: process-pool size for the CPU-bound phases (labeling
-            clustering and detector training); ``None`` defers to the
-            ambient :func:`repro.parallel.resolve_workers` rule and 0
-            forces sequential.  Outputs are identical at every worker
-            count.
+        workers: process-pool size for the CPU-bound phases (the
+            engine's post shards, labeling clustering and detector
+            training); ``None`` defers to the ambient
+            :func:`repro.parallel.resolve_workers` rule and 0 forces
+            sequential.  Outputs are identical at every worker count.
         fault_plan: optional chaos schedule; a
             :class:`repro.faults.FaultInjector` seeded from the
             experiment seed executes it against this world.  An empty
@@ -106,7 +106,7 @@ class PseudoHoneypotExperiment:
     ) -> None:
         self.config = config or SimulationConfig.medium()
         self.population = build_population(self.config)
-        self.engine = build_engine(self.population, workers=workers)
+        self.engine = TwitterEngine(self.population, workers=workers)
         self.fault_plan = fault_plan
         self.fault_injector: FaultInjector | None = None
         if fault_plan is not None:

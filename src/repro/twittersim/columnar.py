@@ -24,9 +24,7 @@ Layout summary (see DESIGN.md §14):
 - user id -> row: dense dict (ids are allocated densely, but an
   operator account registers its id after other ids may have been
   allocated, so the indirection stays);
-- follow graph: int32 CSR arrays over *rows* (:class:`CSRGraph`);
-- per-hour tweet records: :class:`TweetColumns` struct-of-arrays, the
-  wire format of the sharded hour loop.
+- follow graph: int32 CSR arrays over *rows* (:class:`CSRGraph`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entities import AccountState, Tweet, TweetKind, TweetSource, UserProfile
+from .entities import AccountState, UserProfile
 
 _NEG_INF = float("-inf")
 
@@ -434,104 +432,3 @@ class CSRGraph:
         for i, neighbors in enumerate(neighbor_lists):
             indices[indptr[i] : indptr[i + 1]] = neighbors
         return cls(indptr=indptr, indices=indices)
-
-
-# ---------------------------------------------------------------------------
-# Per-hour tweet records
-# ---------------------------------------------------------------------------
-
-_KIND_BY_CODE = tuple(TweetKind)
-_CODE_BY_KIND = {kind: code for code, kind in enumerate(_KIND_BY_CODE)}
-_SOURCE_BY_CODE = tuple(TweetSource)
-_CODE_BY_SOURCE = {src: code for code, src in enumerate(_SOURCE_BY_CODE)}
-
-
-class TweetColumns:
-    """Struct-of-arrays buffer of one hour's proto-tweet records.
-
-    The sharded hour loop's wire format: workers emit rows (no tweet
-    ids — snowflake ids are a parent-side resource) and the parent
-    materializes :class:`~repro.twittersim.entities.Tweet` objects
-    after the deterministic merge.  Numeric state is numpy; texts,
-    hashtags, and mention tuples stay Python objects (they are
-    variable-length and already interned upstream).
-    """
-
-    __slots__ = (
-        "created_at",
-        "kind_code",
-        "source_code",
-        "spam",
-        "user",
-        "text",
-        "hashtags",
-        "mentions",
-        "topic",
-        "reply_to_id",
-        "reply_to_created_at",
-    )
-
-    def __init__(self) -> None:
-        self.created_at: list[float] = []
-        self.kind_code: list[int] = []
-        self.source_code: list[int] = []
-        self.spam: list[bool] = []
-        self.user: list[UserProfile] = []
-        self.text: list[str] = []
-        self.hashtags: list[tuple[str, ...]] = []
-        self.mentions: list[tuple] = []
-        self.topic: list[str | None] = []
-        self.reply_to_id: list[int | None] = []
-        self.reply_to_created_at: list[float | None] = []
-
-    def __len__(self) -> int:
-        return len(self.created_at)
-
-    def append(
-        self,
-        created_at: float,
-        user: UserProfile,
-        text: str,
-        kind: TweetKind,
-        source: TweetSource,
-        spam: bool,
-        hashtags: tuple[str, ...] = (),
-        mentions: tuple = (),
-        topic: str | None = None,
-        reply_to_id: int | None = None,
-        reply_to_created_at: float | None = None,
-    ) -> None:
-        self.created_at.append(created_at)
-        self.kind_code.append(_CODE_BY_KIND[kind])
-        self.source_code.append(_CODE_BY_SOURCE[source])
-        self.spam.append(spam)
-        self.user.append(user)
-        self.text.append(text)
-        self.hashtags.append(hashtags)
-        self.mentions.append(mentions)
-        self.topic.append(topic)
-        self.reply_to_id.append(reply_to_id)
-        self.reply_to_created_at.append(reply_to_created_at)
-
-    def created_at_array(self) -> np.ndarray:
-        return np.asarray(self.created_at, dtype=np.float64)
-
-    def materialize(self, index: int, tweet_id: int) -> Tweet:
-        """Build the public Tweet record for one row."""
-        text = self.text[index]
-        return Tweet(
-            tweet_id=tweet_id,
-            created_at=self.created_at[index],
-            user=self.user[index],
-            text=text,
-            kind=_KIND_BY_CODE[self.kind_code[index]],
-            source=_SOURCE_BY_CODE[self.source_code[index]],
-            hashtags=self.hashtags[index],
-            mentions=self.mentions[index],
-            urls=tuple(
-                token for token in text.split() if token.startswith("http")
-            ),
-            topic=self.topic[index],
-            in_reply_to_tweet_id=self.reply_to_id[index],
-            in_reply_to_created_at=self.reply_to_created_at[index],
-        )

@@ -5,7 +5,10 @@ The engine advances the world one hour at a time.  Per hour it:
 1. delivers organic replies scheduled by earlier posts;
 2. emits organic posts (Poisson per-account, rate = statuses/day / 24),
    with hashtags drawn from the author's interests and trending topics
-   from the platform topic process;
+   from the platform topic process.  Post counts are drawn here; each
+   post's own variables are drawn by account-range shards from their
+   own substreams (:mod:`repro.twittersim.sharded`), fanned out over
+   ``repro.parallel`` and merged in shard order;
 3. schedules organic replies to fresh posts (reply mass grows with the
    author's follower count; delays are log-normal, median ~20 min);
 4. emits spam mentions: campaign members, lone spammers, and
@@ -17,14 +20,15 @@ The engine advances the world one hour at a time.  Per hour it:
 6. feeds every tweet, time-ordered, to registered subscribers (the
    streaming API) and keeps rolling indexes for the REST API.
 
-All randomness flows from the population's single seeded generator, so
-whole-world runs are reproducible.
+The hour loop draws from the population's seeded generator (the
+parent stream), except for each shard's per-post draws, which come
+from a substream keyed by the world seed, the hour and the shard.  The
+same config gives the same world at any worker count.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 import logging
 import time
 from collections import deque
@@ -34,13 +38,15 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..obs import get_event_stream, get_registry, resources
+from ..parallel import parallel_map
 from . import behavior
 from .campaigns import SpammerTasteModel
 from .clock import SECONDS_PER_HOUR, SimClock
 from .entities import AccountState, Mention, Tweet, TweetKind
-from .hashtags import HASHTAG_POOLS, HashtagCategory, category_of
+from .hashtags import HashtagCategory, category_of
 from .ids import SnowflakeGenerator
 from .population import AccountKind, Population
+from .sharded import ShardTask, emit_shard
 from .text import TextGenerator
 from .trending import DEFAULT_TOPICS, TopicProcess, TrendingTracker
 
@@ -74,7 +80,16 @@ class HourStats:
 
 
 class TwitterEngine:
-    """The synthetic platform: population + activity + moderation."""
+    """The synthetic platform: population + activity + moderation.
+
+    Args:
+        population: the world; ``config.engine_shards`` sets how many
+            account-range shards draw the organic posts.
+        workers: pool size for the shard fan-out; ``None`` defers to
+            the ambient :func:`repro.parallel.resolve_workers` rule and
+            0 forces in-process execution.  Identical output at every
+            worker count.
+    """
 
     #: How many hours a post stays eligible as a spam-victim anchor.
     RECENT_POST_HOURS = 2
@@ -89,18 +104,17 @@ class TwitterEngine:
     SEARCH_INDEX_CAP = 120_000
 
     def __init__(
-        self,
-        population: Population,
-        taste: SpammerTasteModel | None = None,
-        topics: tuple[str, ...] = DEFAULT_TOPICS,
+        self, population: Population, workers: int | None = None
     ) -> None:
         self.population = population
+        self.n_shards = population.config.engine_shards
+        self.workers = workers
         self.clock = SimClock()
-        self.taste = taste or SpammerTasteModel()
+        self.taste = SpammerTasteModel()
         self.rng = population.rng
         self.snowflake = SnowflakeGenerator()
         self.text: TextGenerator = population.text
-        self.topic_process = TopicProcess(topics, self.rng)
+        self.topic_process = TopicProcess(DEFAULT_TOPICS, self.rng)
         self.trending = TrendingTracker()
         self._subscribers: list[TweetCallback] = []
         #: Installed chaos-harness hook (see install_fault_injector).
@@ -337,10 +351,20 @@ class TwitterEngine:
         )
         return self._session_on | pop.always_on
 
+    def shard_bounds(self, n_rows: int) -> list[int]:
+        """Contiguous account-range boundaries (len ``n_shards + 1``)."""
+        return [
+            n_rows * shard // self.n_shards
+            for shard in range(self.n_shards + 1)
+        ]
+
     def _emit_organic_posts(
         self, t0: float, t_end: float, hour: int, stats: HourStats
     ) -> list[Tweet]:
         pop = self.population
+        # Parent-stream preamble (sessions, Poisson counts): drawn
+        # before the fan-out, so replies/spam/suspension downstream see
+        # the same parent stream whatever the worker count.
         on = self._update_sessions()
         scale = on.astype(np.float64) / pop.config.session_on_fraction
         # always-on accounts post at their nominal rate, not scaled up.
@@ -349,85 +373,82 @@ class TwitterEngine:
         counts = self.rng.poisson(rates)
         posting = np.nonzero(counts)[0]
         if len(posting):
-            # Suspended accounts never post and consume no draws, so
-            # filtering them out up front is stream-identical to the
-            # per-account check it replaces.
+            # Suspended accounts never post.
             suspended = pop.suspended_flags()
             posting = posting[~suspended[posting]]
         topic_weights = self.topic_process.weights_at(hour)
         topic_probs = topic_weights / topic_weights.sum()
-        # Generator.choice(p=...) rebuilds this normalized cumulative
-        # array (and re-validates p) on every call; hoisting it per
-        # hour (as plain floats — bisect beats a scalar searchsorted
-        # at this size) keeps the per-post draw a single bisection.
         topic_cdf = topic_probs.cumsum()
         topic_cdf /= topic_cdf[-1]
-        topic_cdf = topic_cdf.tolist()
-        tweets: list[Tweet] = []
+        topic_cdf = tuple(topic_cdf.tolist())
+
         order = pop.order
+        interests_of = pop.interests
+        topic_affinity = pop.topic_affinity
+        bounds = self.shard_bounds(len(order))
+        posting_rows = posting.tolist()
+        seed = pop.config.seed
+        topics = self.topic_process.topics
+        tasks: list[ShardTask] = []
+        pos = 0
+        for shard in range(self.n_shards):
+            hi = bounds[shard + 1]
+            members: list[
+                tuple[int, int, tuple[HashtagCategory, ...], float]
+            ] = []
+            while pos < len(posting_rows) and posting_rows[pos] < hi:
+                row = posting_rows[pos]
+                members.append(
+                    (
+                        row,
+                        int(counts[row]),
+                        interests_of.get(order[row], ()),
+                        topic_affinity.item(row),
+                    )
+                )
+                pos += 1
+            tasks.append(
+                ShardTask(
+                    seed=seed,
+                    hour=hour,
+                    shard=shard,
+                    t0=t0,
+                    t_end=t_end,
+                    topics=topics,
+                    topic_cdf=topic_cdf,
+                    posting=tuple(members),
+                )
+            )
+
+        shard_protos = parallel_map(
+            emit_shard, tasks, workers=self.workers, label="engine.shards"
+        )
+
+        # Deterministic merge: ascending shard order, task order within
+        # a shard.  The world-mutating tail (trending records,
+        # finalization, recent-post tracking) runs here, on the parent
+        # stream.
+        tweets: list[Tweet] = []
         accounts = pop.accounts
-        for idx in posting.tolist():
-            user_id = order[idx]
-            account = accounts[user_id]
-            for __ in range(int(counts[idx])):
-                tweet = self._make_organic_post(
-                    account, t0, t_end, topic_cdf, user_id, idx
+        for protos in shard_protos:
+            for row, created_at, text, kind, hashtags, topic in protos:
+                if topic is not None:
+                    self.trending.record(
+                        topic, int(created_at // SECONDS_PER_HOUR)
+                    )
+                tweet = self._finalize_tweet(
+                    accounts[order[row]],
+                    created_at,
+                    text,
+                    kind=kind,
+                    spammer=False,
+                    hashtags=hashtags,
+                    topic=topic,
                 )
                 tweets.append(tweet)
                 self._recent_posts.append(tweet)
                 stats.organic_posts += 1
         return tweets
-
-    def _make_organic_post(
-        self,
-        account: AccountState,
-        t0: float,
-        t_end: float,
-        topic_cdf: list[float],
-        user_id: int,
-        idx: int,
-    ) -> Tweet:
-        rng = self.rng
-        pop = self.population
-        # low + range * next_double is exactly what Generator.uniform
-        # computes; spelling it out skips the broadcast machinery.
-        created_at = t0 + (t_end - t0) * rng.random()
-        interests = pop.interests.get(user_id, ())
-        hashtags: tuple[str, ...] = ()
-        if interests and rng.random() < 0.7:
-            category = interests[int(rng.integers(0, len(interests)))]
-            pool = HASHTAG_POOLS[category]
-            if rng.random() < 0.8:
-                # choice(n, size=1, replace=False) is one tail-shuffle
-                # swap, i.e. exactly one bounded-integers draw — the
-                # direct draw is bit-stream identical and ~10x cheaper.
-                hashtags = (pool[int(rng.integers(0, len(pool)))],)
-            else:
-                picks = rng.choice(len(pool), size=2, replace=False)
-                hashtags = tuple(pool[int(j)] for j in picks)
-        topic: str | None = None
-        if rng.random() < pop.topic_affinity.item(idx):
-            # Identical to choice(len(p), p=p): one uniform draw against
-            # the hoisted cumulative distribution.
-            topic = self.topic_process.topics[
-                bisect_right(topic_cdf, rng.random())
-            ]
-            self.trending.record(topic, int(created_at // SECONDS_PER_HOUR))
-        kind = behavior.draw_kind(rng, spammer=False)
-        text = self.text.benign_text()
-        if topic is not None:
-            text = f"{text} #{topic}"
-        if hashtags:
-            text = text + " " + " ".join(f"#{h}" for h in hashtags)
-        return self._finalize_tweet(
-            account,
-            created_at,
-            text,
-            kind=kind,
-            spammer=False,
-            hashtags=hashtags,
-            topic=topic,
-        )
 
     def _schedule_replies(self, posts: list[Tweet]) -> None:
         rng = self.rng

@@ -30,6 +30,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(post_rate_min=0)
 
+    @pytest.mark.parametrize("shards", [0, -1, True, 2.5])
+    def test_rejects_engine_shards_that_are_not_positive_ints(self, shards):
+        with pytest.raises(ValueError, match="engine_shards"):
+            SimulationConfig(engine_shards=shards)
+
 
 class TestPopulationStructure:
     def test_total_account_count(self, population):
