@@ -28,14 +28,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
-def artifacts(value: dict | list) -> dict[str, str]:
+def artifacts(value: dict) -> dict[str, str]:
     """One case's digests by artifact name (list entries by index)."""
-    if isinstance(value, dict):
-        return dict(value)
-    return {f"[{i}]": digest for i, digest in enumerate(value)}
+    flat: dict[str, str] = {}
+    for name, digest in value.items():
+        if isinstance(digest, list):
+            flat.update((f"{name}[{i}]", d) for i, d in enumerate(digest))
+        else:
+            flat[name] = digest
+    return flat
 
 
-def first_difference(committed: dict | list, fresh: dict | list) -> str | None:
+def first_difference(committed: dict, fresh: dict) -> str | None:
     """The first artifact whose digest differs, or None if all match."""
     old, new = artifacts(committed), artifacts(fresh)
     for name in [*old, *(name for name in new if name not in old)]:

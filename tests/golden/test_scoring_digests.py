@@ -9,6 +9,9 @@ pipeline order:
   (``LabeledDataset.table_rows``: per-stage spams and spammers);
 * ``train_X`` / ``train_y`` — the feature matrix and labels the forest
   is fitted on (read off ``RandomForestClassifier.fit``);
+* ``arena`` — the fitted forest's flat node arena
+  (``RandomForestClassifier.compiled()``): the six arrays the compiled
+  inference walks;
 * ``verdicts`` / ``spammers`` — ``classify`` over the full-plan sweep:
   (tweet id, verdict) in scoring order, and the flagged senders;
 * ``replay`` — ``SnifferService.replay`` of the same sweep from the
@@ -45,6 +48,9 @@ from repro.service.sniffer import SnifferService
 #: batch but the last is full and the chunking matches ``classify``'s.
 NO_DEADLINE_S = 1e12
 
+#: The node arrays of a ``CompiledForest``, in field order.
+ARENA_ARRAYS = ("feature", "threshold", "left", "right", "value", "roots")
+
 
 def compute(case: str) -> dict[str, str]:
     """Fresh artifact digests of one golden case (``<scale>/seed<N>``)."""
@@ -73,6 +79,7 @@ def compute(case: str) -> dict[str, str]:
             collection.captures, dataset
         )
     __, X, y = fit.call_args.args
+    arena = detector.classifier.compiled()
     sweep = experiment.run_full_network(
         hours=scale.main_hours, per_value=scale.main_per_value
     )
@@ -87,6 +94,9 @@ def compute(case: str) -> dict[str, str]:
         "table3": stable_digest(dataset.table_rows()),
         "train_X": stable_digest(X.tolist()),
         "train_y": stable_digest(y.tolist()),
+        "arena": stable_digest(
+            [getattr(arena, name).tolist() for name in ARENA_ARRAYS]
+        ),
         "verdicts": stable_digest(
             [
                 [c.tweet.tweet_id, int(spam)]
@@ -111,6 +121,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "table3": "7326cfb5e72c",
         "train_X": "2b45a6a99bd0",
         "train_y": "d1dc36026ee2",
+        "arena": "edf5ffb9e257",
         "verdicts": "1740a4ee744b",
         "spammers": "a7930196a204",
         "replay": "c97a3763fe9a",
@@ -120,6 +131,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "table3": "53fc0b646e4e",
         "train_X": "c2d8fe3eceb2",
         "train_y": "fa16c2c51540",
+        "arena": "b66cac460169",
         "verdicts": "3524ddf4cccf",
         "spammers": "a1f0add6d815",
         "replay": "2dda2da9f423",
@@ -129,6 +141,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "table3": "e8063913225c",
         "train_X": "d0a96eb3a6b9",
         "train_y": "39030e41d36e",
+        "arena": "b547ba8c328e",
         "verdicts": "b9cc1fd06ae2",
         "spammers": "1df085a042e1",
         "replay": "9dc1ea42a06b",
@@ -138,6 +151,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "table3": "0550d3d293bb",
         "train_X": "ea0f2b0bf034",
         "train_y": "7e636714af00",
+        "arena": "aa97cfd566b6",
         "verdicts": "e0fa491cca1d",
         "spammers": "895971c40a63",
         "replay": "7ea0459006ea",

@@ -1,11 +1,13 @@
 """Golden digests of fitted trees: every tree estimator, pinned bitwise.
 
-Each digest is the ledger's canonical-JSON ``stable_digest`` of one
-fitted tree's five node arrays.  The digests below were recorded with
-the one-node-at-a-time histogram builder that preceded the lockstep
-forest builder, so a refactor of the tree builder must reproduce the
-old trees exactly.  An intended change to tree growth shows up here as
-a reviewed digest update.
+Each ``trees`` digest is the ledger's canonical-JSON ``stable_digest``
+of one fitted tree's five node arrays.  The tree digests were recorded
+with the one-node-at-a-time histogram builder that preceded the
+lockstep forest builder, so a refactor of the tree builder must
+reproduce the old trees exactly.  An intended change to tree growth
+shows up here as a reviewed digest update.  The three random-forest
+cases also pin ``proba``, the forest's ``predict_proba`` on the golden
+data, which the compiled node arena computes.
 
 The data set is small but awkward: one constant column, a heavily tied
 column, and duplicated rows (so bootstraps and ties hit the split
@@ -43,33 +45,27 @@ def golden_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X, y, target
 
 
-def fitted_trees(case: str) -> list:
-    """The fitted trees (``_FlatTree``) of one golden case."""
+def fitted(case: str):
+    """The fitted estimator of one golden case."""
     X, y, target = golden_data()
     if case == "rf_sqrt_seed0":
-        return RandomForestClassifier(n_estimators=12, seed=0).fit(X, y).trees_
+        return RandomForestClassifier(n_estimators=12, seed=0).fit(X, y)
     if case == "rf_sqrt_seed7":
-        return RandomForestClassifier(n_estimators=12, seed=7).fit(X, y).trees_
+        return RandomForestClassifier(n_estimators=12, seed=7).fit(X, y)
     if case == "rf_all_features":
-        return (
-            RandomForestClassifier(
-                n_estimators=12,
-                min_samples_leaf=3,
-                max_depth=5,
-                max_features=None,
-            )
-            .fit(X, y)
-            .trees_
-        )
+        return RandomForestClassifier(
+            n_estimators=12,
+            min_samples_leaf=3,
+            max_depth=5,
+            max_features=None,
+        ).fit(X, y)
     if case == "decision_tree":
-        return [DecisionTreeClassifier().fit(X, y).tree_]
+        return DecisionTreeClassifier().fit(X, y)
     if case == "regression_tree":
-        return [DecisionTreeRegressor(max_depth=4).fit(X, target).tree_]
+        return DecisionTreeRegressor(max_depth=4).fit(X, target)
     if case == "boosting":
-        return (
-            GradientBoostingClassifier(n_estimators=20, subsample=0.7)
-            .fit(X, y)
-            .trees_
+        return GradientBoostingClassifier(n_estimators=20, subsample=0.7).fit(
+            X, y
         )
     raise KeyError(case)
 
@@ -87,40 +83,63 @@ def tree_digest(tree) -> str:
     )
 
 
-def compute(case: str) -> list[str]:
-    """Fresh per-tree digests of one golden case."""
-    return [tree_digest(tree) for tree in fitted_trees(case)]
+def compute(case: str) -> dict[str, str | list[str]]:
+    """Fresh per-tree digests of one golden case, plus a forest's
+    ``predict_proba`` on the golden data."""
+    estimator = fitted(case)
+    if hasattr(estimator, "tree_"):
+        trees = [estimator.tree_]
+    else:
+        trees = estimator.trees_
+    digests: dict[str, str | list[str]] = {
+        "trees": [tree_digest(tree) for tree in trees]
+    }
+    if isinstance(estimator, RandomForestClassifier):
+        X, __, __ = golden_data()
+        digests["proba"] = stable_digest(estimator.predict_proba(X).tolist())
+    return digests
 
 
-GOLDEN: dict[str, list[str]] = {
-    "boosting": [
-        "e32a27df8e2a", "4a5245b22f18", "d17846ee2b91", "7f2e04ef3b0c",
-        "7f1b582068f9", "adf7276cf1af", "efd857e9d97d", "9c78eb892710",
-        "7166bec5506f", "f6e7f0f23163", "1bd5e0457b78", "4e6f3d5f9ef2",
-        "5c035aa4c144", "f20cf5b5fe1e", "451207bdbb2d", "7149b5055cb4",
-        "27bfb554a59f", "3171ff662526", "acb040dfd9ca", "29822264215a",
-    ],
-    "decision_tree": [
-        "357769d8e4d3",
-    ],
-    "regression_tree": [
-        "fe4c731954cc",
-    ],
-    "rf_all_features": [
-        "5853bd654f9d", "8e0fbe473568", "3cec06fb1565", "907c910225db",
-        "0f6ac3c8dd6f", "7af37fcdfcb0", "2d9d218a1ed4", "048cb6abe3f0",
-        "d209a537af5a", "5ecd58eaf518", "a97cfb54752f", "486b7211f603",
-    ],
-    "rf_sqrt_seed0": [
-        "6875c7aa6de7", "1edd4da3416d", "cb96df011457", "61e0f20e673a",
-        "6d6e4dca727b", "ce34e7d72167", "58c70c0ce05a", "de7aaab27247",
-        "9346a2985dc4", "b6f24bd7155c", "22530c236ad2", "9c5bc34bccf9",
-    ],
-    "rf_sqrt_seed7": [
-        "de7aaab27247", "9346a2985dc4", "b6f24bd7155c", "22530c236ad2",
-        "9c5bc34bccf9", "a7928d6c001f", "5e88b51de128", "68262b5ae701",
-        "76c86a8480b4", "883343cdd419", "28b847654652", "94f0d3c714dc",
-    ],
+GOLDEN: dict[str, dict[str, str | list[str]]] = {
+    "boosting": {
+        "trees": [
+            "e32a27df8e2a", "4a5245b22f18", "d17846ee2b91", "7f2e04ef3b0c",
+            "7f1b582068f9", "adf7276cf1af", "efd857e9d97d", "9c78eb892710",
+            "7166bec5506f", "f6e7f0f23163", "1bd5e0457b78", "4e6f3d5f9ef2",
+            "5c035aa4c144", "f20cf5b5fe1e", "451207bdbb2d", "7149b5055cb4",
+            "27bfb554a59f", "3171ff662526", "acb040dfd9ca", "29822264215a",
+        ],
+    },
+    "decision_tree": {
+        "trees": ["357769d8e4d3"],
+    },
+    "regression_tree": {
+        "trees": ["fe4c731954cc"],
+    },
+    "rf_all_features": {
+        "trees": [
+            "5853bd654f9d", "8e0fbe473568", "3cec06fb1565", "907c910225db",
+            "0f6ac3c8dd6f", "7af37fcdfcb0", "2d9d218a1ed4", "048cb6abe3f0",
+            "d209a537af5a", "5ecd58eaf518", "a97cfb54752f", "486b7211f603",
+        ],
+        "proba": "7eb0457eb6f9",
+    },
+    "rf_sqrt_seed0": {
+        "trees": [
+            "6875c7aa6de7", "1edd4da3416d", "cb96df011457", "61e0f20e673a",
+            "6d6e4dca727b", "ce34e7d72167", "58c70c0ce05a", "de7aaab27247",
+            "9346a2985dc4", "b6f24bd7155c", "22530c236ad2", "9c5bc34bccf9",
+        ],
+        "proba": "b07c7b6296bb",
+    },
+    "rf_sqrt_seed7": {
+        "trees": [
+            "de7aaab27247", "9346a2985dc4", "b6f24bd7155c", "22530c236ad2",
+            "9c5bc34bccf9", "a7928d6c001f", "5e88b51de128", "68262b5ae701",
+            "76c86a8480b4", "883343cdd419", "28b847654652", "94f0d3c714dc",
+        ],
+        "proba": "d1129ac40a29",
+    },
 }
 
 
