@@ -4,8 +4,9 @@ User descriptions (and tweet bodies, for the near-duplicate tweet
 check) are normalized, cut into character tri-gram shingles, and each
 shingle is hashed by k functions; the signature is the vector of
 per-function minima.  Following the paper, two texts are considered
-identical when their signatures agree, so grouping is a dictionary
-bucket on the signature tuple.
+identical when their signatures agree, so grouping is one dictionary
+bucket on ``(scope, signature)``, where the scope is the tweet check's
+day window (descriptions have none).
 
 The k functions are ``h_i(s) = (a_i * s + b_i) mod p`` with
 ``p = 2**61 - 1``, but evaluated in int64: ``a_i < 2**61`` and the
@@ -30,12 +31,8 @@ import numpy as np
 
 from ..features.textstats import strip_for_shingling
 from ..parallel import parallel_map
-from .dhash import _UnionFind
 
 _MERSENNE_PRIME = (1 << 61) - 1
-
-#: Default number of LSH bands a k-minima signature is cut into.
-DEFAULT_BANDS = 4
 
 #: Texts per whole-array pass (and per pool task): bounds the gathered
 #: (shingles x k) block one ``np.minimum.reduceat`` reads.
@@ -178,113 +175,24 @@ class MinHasher:
         return agree / self.n_hashes
 
 
-def band_keys(
-    signature: tuple[int, ...], n_bands: int = DEFAULT_BANDS
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The LSH band keys of one signature.
-
-    The k minima are cut into ``n_bands`` contiguous bands of
-    ``k // n_bands`` rows; two signatures that agree on any whole band
-    land in a shared bucket and become a candidate pair.
-
-    Raises:
-        ValueError: if the signature length is not divisible into
-            equal-sized bands.
-    """
-    k = len(signature)
-    if n_bands < 1 or k % n_bands:
-        raise ValueError(
-            f"cannot cut a {k}-minima signature into {n_bands} equal bands"
-        )
-    rows = k // n_bands
-    return [
-        (b, signature[b * rows : (b + 1) * rows]) for b in range(n_bands)
-    ]
-
-
-def group_signatures_banded(
-    signatures: list[tuple[int, ...]],
-    scopes: list | None = None,
-    threshold: float = 1.0,
-    n_bands: int = DEFAULT_BANDS,
+def group_signatures(
+    signatures: list[tuple[int, ...]], scopes: list | None = None
 ) -> list[list[int]]:
-    """Group signature indices via LSH banding + verified candidates.
+    """Group the indices of equal signatures.
 
-    Candidate pairs come from band buckets instead of an all-pairs
-    scan: signatures agreeing on at least one whole band share a
-    bucket, and only bucket-mates are verified against ``threshold``
-    (minimum fraction of agreeing minima) before being merged through
-    a union-find.  At the default ``threshold=1.0`` verification is
-    exact signature equality, so the groups are bit-identical to
-    full-signature dict bucketing — banding only replaces the
-    candidate scan.  Below 1.0 the grouping is true near-duplicate
-    single-linkage, with the standard LSH guarantee that any pair
-    agreeing on >= ``k/n_bands`` consecutive minima is considered.
-
-    ``scopes`` (e.g. the tweet's day window) is folded into every
-    bucket key, so a group never spans two scopes.
+    One dict bucket keyed on ``(scope, signature)``: ``scopes`` (e.g.
+    the tweet's day window) keeps a group inside one scope.
 
     Returns:
-        Groups of indices (size >= 2), ordered by first member with
-        members ascending — the emission order a first-appearance
-        dict bucket produces, at any worker count.
+        Groups of indices (size >= 2) in first-appearance order, with
+        members ascending.
     """
-    n = len(signatures)
-    uf = _UnionFind(n)
-    k = len(signatures[0]) if signatures else 0
-    if k and (n_bands < 1 or k % n_bands):
-        raise ValueError(
-            f"cannot cut a {k}-minima signature into {n_bands} equal bands"
-        )
-    min_agree = threshold * k
-    exact = threshold >= 1.0
-    checked: set[tuple[int, int]] = set()
-    rows = k // n_bands if n_bands else 0
-    for band in range(n_bands):
-        buckets: dict[tuple, list[int]] = defaultdict(list)
-        for idx, signature in enumerate(signatures):
-            key = signature[band * rows : (band + 1) * rows]
-            if scopes is not None:
-                buckets[(scopes[idx], key)].append(idx)
-            else:
-                buckets[key].append(idx)
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
-            if exact:
-                # Equality is transitive: sub-bucket on the full
-                # signature (linear) instead of pairwise verification.
-                classes: dict[tuple[int, ...], int] = {}
-                for idx in members:
-                    first = classes.setdefault(signatures[idx], idx)
-                    if first != idx:
-                        uf.union(first, idx)
-                continue
-            for i, idx_a in enumerate(members):
-                sig_a = signatures[idx_a]
-                for idx_b in members[i + 1 :]:
-                    pair = (idx_a, idx_b)
-                    if pair in checked:
-                        continue
-                    checked.add(pair)
-                    sig_b = signatures[idx_b]
-                    agree = sum(
-                        a == b for a, b in zip(sig_a, sig_b)
-                    )
-                    if agree >= min_agree:
-                        uf.union(idx_a, idx_b)
-        if exact:
-            # Equal signatures agree on every band; later bands would
-            # only repeat the same unions.
-            break
-    components: dict[int, list[int]] = defaultdict(list)
-    for idx in range(n):
-        components[uf.find(idx)].append(idx)
-    groups = [
-        members for members in components.values() if len(members) >= 2
-    ]
-    groups.sort(key=lambda members: members[0])
-    return groups
+    if scopes is None:
+        scopes = [None] * len(signatures)
+    buckets: dict[tuple, list[int]] = defaultdict(list)
+    for idx, key in enumerate(zip(scopes, signatures)):
+        buckets[key].append(idx)
+    return [members for members in buckets.values() if len(members) >= 2]
 
 
 def _distinct_signatures(
@@ -326,10 +234,8 @@ def group_by_signature(
     texts: list[str],
     hasher: MinHasher | None = None,
     workers: int | None = None,
-    threshold: float = 1.0,
-    n_bands: int = DEFAULT_BANDS,
 ) -> list[list[int]]:
-    """Group indices of texts with near-identical MinHash signatures.
+    """Group indices of texts with identical MinHash signatures.
 
     Empty (post-normalization) texts are never grouped: a blank bio is
     not evidence of affiliation.
@@ -337,13 +243,12 @@ def group_by_signature(
     Signatures are computed once per distinct text, in chunks that
     fan out over ``workers`` pool processes (0 = sequential; ``None``
     defers to the ambient :func:`repro.parallel.resolve_workers`
-    rule).  Candidate pairs come from LSH band buckets
-    (:func:`group_signatures_banded`), not an all-pairs scan; at the
-    default ``threshold=1.0`` the groups are bit-identical to
-    exact-signature bucketing, at any worker count.
+    rule), and grouped by :func:`group_signatures`, so the groups are
+    the same at any worker count.
 
     Returns:
-        Groups of indices, each of size >= 2.
+        Groups of indices, each of size >= 2, in first-appearance
+        order.
     """
     hasher = hasher or MinHasher()
     eligible = [
@@ -354,7 +259,7 @@ def group_by_signature(
     signatures = _distinct_signatures(
         [text for __, text in eligible], hasher, workers, "minhash"
     )
-    groups = group_signatures_banded(
-        signatures, threshold=threshold, n_bands=n_bands
-    )
-    return [[eligible[i][0] for i in members] for members in groups]
+    return [
+        [eligible[i][0] for i in members]
+        for members in group_signatures(signatures)
+    ]

@@ -3,7 +3,8 @@
 The paper checks near-duplicated tweets inside 1-day time windows,
 skipping contents shorter than 20 characters.  Texts are normalized
 (mentions and URLs stripped — campaigns rotate both per blast) and
-grouped by MinHash signature within each window.
+grouped by MinHash signature within each window: as in the paper, two
+texts are the same when their signatures agree.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from __future__ import annotations
 from ..features.content import normalize_text_for_dedup
 from ..twittersim.clock import SECONDS_PER_DAY
 from ..twittersim.entities import Tweet
-from .minhash import (
-    DEFAULT_BANDS,
-    MinHasher,
-    _distinct_signatures,
-    group_signatures_banded,
-)
+from .minhash import MinHasher, _distinct_signatures, group_signatures
 
 #: Minimum raw content length considered (paper: 20 characters).
 MIN_CONTENT_LENGTH = 20
@@ -27,8 +23,6 @@ def group_near_duplicates(
     hasher: MinHasher | None = None,
     window_s: float = SECONDS_PER_DAY,
     workers: int | None = None,
-    threshold: float = 1.0,
-    n_bands: int = DEFAULT_BANDS,
 ) -> list[list[int]]:
     """Group indices of near-duplicate tweets per 1-day window.
 
@@ -37,16 +31,14 @@ def group_near_duplicates(
     signatures — the hot loop — run once per distinct normalized text
     and fan out over ``workers`` pool processes (0 = sequential;
     ``None`` defers to the ambient
-    :func:`repro.parallel.resolve_workers` rule).  Candidate pairs
-    come from LSH band buckets scoped to the day window
-    (:func:`repro.labeling.minhash.group_signatures_banded`) instead
-    of an all-pairs scan; at the default ``threshold=1.0`` the groups
-    are bit-identical to exact-signature bucketing, at any worker
-    count.
+    :func:`repro.parallel.resolve_workers` rule).  Tweets group when
+    their window and signature agree
+    (:func:`repro.labeling.minhash.group_signatures`), so the groups
+    are the same at any worker count.
 
     Returns:
-        Groups of indices into ``tweets``, each of size >= 2; a group
-        never spans two windows.
+        Groups of indices into ``tweets``, each of size >= 2, in
+        first-appearance order; a group never spans two windows.
     """
     hasher = hasher or MinHasher()
     eligible: list[tuple[int, int, str]] = []
@@ -64,10 +56,7 @@ def group_near_duplicates(
         workers,
         "neardup",
     )
-    groups = group_signatures_banded(
-        signatures,
-        scopes=[window for __, window, __ in eligible],
-        threshold=threshold,
-        n_bands=n_bands,
+    groups = group_signatures(
+        signatures, scopes=[window for __, window, __ in eligible]
     )
     return [[eligible[i][0] for i in members] for members in groups]

@@ -12,7 +12,6 @@ from .clock import SECONDS_PER_DAY, SECONDS_PER_HOUR, SimClock, days, hours
 from .config import SimulationConfig
 from .drift import apply_spammer_drift, drifted_taste_weights
 from .engine import HourStats, TwitterEngine
-from .graph import FollowGraphIndex, build_follow_graph
 from .entities import (
     AccountState,
     Mention,
@@ -53,11 +52,9 @@ __all__ = [
     "TwitterEngine",
     "UserProfile",
     "apply_spammer_drift",
-    "build_follow_graph",
     "build_population",
     "category_of",
     "days",
     "drifted_taste_weights",
-    "FollowGraphIndex",
     "hours",
 ]

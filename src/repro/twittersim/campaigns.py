@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entities import AccountState
 from .hashtags import HashtagCategory
 
 
@@ -97,38 +96,15 @@ AGE_PEAK_DAYS = 1000.0
 class SpammerTasteModel:
     """Scores how attractive a victim account is to spammers.
 
-    The total score multiplies a profile-based base score, an age bell
-    curve centered near 1,000 days, and context multipliers for the
-    hashtag category and trending status of the victim's recent post.
+    The engine weighs a victim by its profile score (attribute terms
+    times an age bell curve centered near 1,000 days) raised to
+    ``TasteWeights.concentration``, times the context multiplier of
+    the hashtag category and trending status of the victim's recent
+    post.
     """
 
     def __init__(self, weights: TasteWeights | None = None) -> None:
         self.weights = weights or TasteWeights()
-
-    def profile_score(self, account: AccountState, now: float) -> float:
-        """Base attractiveness from profile attributes alone."""
-        w = self.weights
-        age = max((now - account.created_at) / 86400.0, 1.0)
-        lists_per_day = account.listed_count / age
-        total = account.friends_count + account.followers_count
-        ratio = account.friends_count / max(account.followers_count, 1)
-        inverse_ratio = 1.0 / max(ratio, 1e-3)
-        score = (
-            w.lists_per_day * _saturate(lists_per_day / w.lists_per_day_scale)
-            + w.followers * _saturate(account.followers_count / w.followers_scale)
-            + w.total_friends_followers * _saturate(total / w.total_scale)
-            + w.listed_count * _saturate(account.listed_count / w.listed_scale)
-            + w.friends * _saturate(account.friends_count / w.friends_scale)
-            + w.favourites * _saturate(account.favourites_count / w.favourites_scale)
-            + w.statuses * _saturate(account.statuses_count / w.statuses_scale)
-            + w.inverse_ratio * _saturate(inverse_ratio / w.inverse_ratio_scale)
-        )
-        # Age response: rises toward ~1,000 days then declines (Fig 3e).
-        # The multiplier stays in a moderate band (0.55-1.45): strong
-        # enough that the age peak is visible over counter accumulation,
-        # weak enough not to dominate the attribute preferences.
-        age_factor = math.exp(-(math.log(age / AGE_PEAK_DAYS) ** 2) / 2.0)
-        return score * (0.55 + 0.9 * age_factor)
 
     def profile_score_batch(
         self,
@@ -140,14 +116,14 @@ class SpammerTasteModel:
         favourites: np.ndarray,
         statuses: np.ndarray,
     ) -> np.ndarray:
-        """Column-wise :meth:`profile_score` over account batches.
+        """Base attractiveness of a batch of accounts from profile
+        attributes alone, one column per attribute.
 
-        The attribute terms are rational arithmetic (+, -, *, /), which
-        IEEE-754 evaluates identically element-wise and scalar, so the
-        vector path is bitwise-equal to the scalar one.  The age bell
-        curve is transcendental — ``np.log``/``np.exp`` drift from
-        ``math.log``/``math.exp`` in the last ulp — so it stays a
-        scalar loop over the (much shorter) batch.
+        The attribute terms are whole-array arithmetic.  The age bell
+        curve is transcendental, and ``np.log``/``np.exp`` can differ
+        from ``math.log``/``math.exp`` in the last ulp, so it stays a
+        scalar ``math`` loop over the batch: every seeded world's
+        victim weights were recorded with it.
         """
         w = self.weights
         age = np.maximum((now - created_at) / 86400.0, 1.0)
@@ -165,6 +141,10 @@ class SpammerTasteModel:
             + w.statuses * _saturate(statuses / w.statuses_scale)
             + w.inverse_ratio * _saturate(inverse_ratio / w.inverse_ratio_scale)
         )
+        # Age response: rises toward ~1,000 days then declines (Fig 3e).
+        # The multiplier stays in a moderate band (0.55-1.45): strong
+        # enough that the age peak is visible over counter accumulation,
+        # weak enough not to dominate the attribute preferences.
         out = np.empty(len(score), dtype=np.float64)
         age_list = age.tolist()
         score_list = score.tolist()
@@ -186,35 +166,6 @@ class SpammerTasteModel:
         )
         trending_factor = TRENDING_TASTE.get(trending_status, 1.0)
         return hashtag_factor * trending_factor
-
-    def score(
-        self,
-        account: AccountState,
-        now: float,
-        hashtag_category: HashtagCategory | None = None,
-        trending_status: str = "none",
-    ) -> float:
-        """Full attractiveness score of a victim in context."""
-        return self.profile_score(account, now) * self.context_multiplier(
-            hashtag_category, trending_status
-        )
-
-    def sampling_weight(
-        self,
-        account: AccountState,
-        now: float,
-        hashtag_category: HashtagCategory | None = None,
-        trending_status: str = "none",
-    ) -> float:
-        """Victim-selection weight.
-
-        Profile taste is raised to the concentration exponent (spammers
-        strongly prefer the best-matching profiles); the posting-context
-        multiplier enters linearly.
-        """
-        return (
-            self.profile_score(account, now) ** self.weights.concentration
-        ) * self.context_multiplier(hashtag_category, trending_status)
 
 
 @dataclass

@@ -23,13 +23,10 @@ Layout summary (see DESIGN.md §14):
   Python lists, row-aligned;
 - user id -> row: dense dict (ids are allocated densely, but an
   operator account registers its id after other ids may have been
-  allocated, so the indirection stays);
-- follow graph: int32 CSR arrays over *rows* (:class:`CSRGraph`).
+  allocated, so the indirection stays).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -383,52 +380,3 @@ class AccountMap:
     def items(self):
         for user_id in self._row_of:
             yield user_id, self.view(user_id)
-
-
-# ---------------------------------------------------------------------------
-# Follow graph (CSR)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CSRGraph:
-    """Compressed sparse row adjacency over dense int32 node indices.
-
-    ``neighbors(i)`` is ``indices[indptr[i]:indptr[i+1]]`` — here used
-    for *follower* (predecessor) adjacency, in edge-insertion order, so
-    uniform follower sampling consumes the RNG exactly like the object
-    graph's list-of-predecessors did.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.indptr) - 1
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.indptr[-1])
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Neighbor indices of ``node`` (int32 array view)."""
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
-
-    def degree(self, node: int) -> int:
-        return int(self.indptr[node + 1] - self.indptr[node])
-
-    @classmethod
-    def from_adjacency(
-        cls, neighbor_lists: list[list[int]], n_nodes: int | None = None
-    ) -> "CSRGraph":
-        """Pack per-node neighbor lists (order preserved) into CSR."""
-        if n_nodes is None:
-            n_nodes = len(neighbor_lists)
-        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-        for i, neighbors in enumerate(neighbor_lists):
-            indptr[i + 1] = indptr[i] + len(neighbors)
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        for i, neighbors in enumerate(neighbor_lists):
-            indices[indptr[i] : indptr[i + 1]] = neighbors
-        return cls(indptr=indptr, indices=indices)

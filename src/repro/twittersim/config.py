@@ -28,10 +28,10 @@ class SimulationConfig:
             per-user posting rate (statuses per day).
         reply_rate: scale of organic replies per post follower-mass.
         spam_suspension_rate: per-hour probability that one live
-            spammer is suspended by the platform.
+            spammer is suspended by the platform; its campaign, if any,
+            replaces it with a fresh member.
         normal_suspension_rate: per-hour false-positive suspension
             probability for a normal account (suspended != spammer).
-        campaign_respawn: whether campaigns replace suspended members.
         no_hashtag_fraction: fraction of users that never use hashtags.
         topic_affinity_mean: mean probability that a post engages a
             platform trending topic.
@@ -59,7 +59,6 @@ class SimulationConfig:
     reply_rate: float = 1.6
     spam_suspension_rate: float = 0.012
     normal_suspension_rate: float = 0.00001
-    campaign_respawn: bool = True
     no_hashtag_fraction: float = 0.25
     topic_affinity_mean: float = 0.3
     min_account_age_days: float = 5.0
@@ -72,10 +71,6 @@ class SimulationConfig:
     # its parasitic bodies go dormant.
     session_on_fraction: float = 0.35
     session_mean_hours: float = 6.0
-    # Route organic replies along a preferential-attachment follow
-    # graph (replies come from followers) instead of uniform sampling.
-    use_follow_graph: bool = False
-    follow_graph_mean_degree: float = 12.0
     # Split the per-hour organic-post loop into this many account
     # ranges, each drawing from its own (seed, hour, shard) substream.
     # The shard count is part of the world, like the seed; the worker

@@ -16,7 +16,7 @@ The engine advances the world one hour at a time.  Per hour it:
    probability proportional to the :class:`SpammerTasteModel` score —
    the hidden preference the pseudo-honeypot pipeline must rediscover;
 5. runs the platform suspension process (spammers are suspended at a
-   constant hazard; campaigns may respawn members);
+   constant hazard; campaigns respawn suspended members);
 6. feeds every tweet, time-ordered, to registered subscribers (the
    streaming API) and keeps rolling indexes for the REST API.
 
@@ -163,17 +163,6 @@ class TwitterEngine:
         self._m_hour_seconds = registry.histogram("engine.hour_seconds")
         self._m_hour_tweets = registry.histogram("engine.hour_tweets")
         self._events = get_event_stream()
-        self._follow_index = None
-        if config.use_follow_graph:
-            from .graph import FollowGraphIndex, build_follow_graph
-
-            self._follow_index = FollowGraphIndex(
-                build_follow_graph(
-                    population,
-                    mean_out_degree=config.follow_graph_mean_degree,
-                    seed=config.seed + 0xF0110,
-                )
-            )
 
     # ------------------------------------------------------------------
     # Subscription and read-side indexes
@@ -460,15 +449,9 @@ class TwitterEngine:
             expected = config.reply_rate * (followers / (followers + 2000.0))
             n_replies = int(rng.poisson(expected))
             for __ in range(n_replies):
-                replier_id = None
-                if self._follow_index is not None:
-                    replier_id = self._follow_index.sample_follower(
-                        post.user.user_id, rng
-                    )
-                if replier_id is None:
-                    replier_id = normal_pool[
-                        int(rng.integers(0, len(normal_pool)))
-                    ]
+                replier_id = normal_pool[
+                    int(rng.integers(0, len(normal_pool)))
+                ]
                 if replier_id == post.user.user_id:
                     continue
                 delay = behavior.organic_reply_delay(rng)
@@ -757,14 +740,15 @@ class TwitterEngine:
         """Per-account suspension hazard, vectorized by segments.
 
         The scalar loop drew one uniform per live account in ``order``
-        sequence; a respawn hit inserts extra draws mid-stream (the new
-        member's profile).  Batching the whole population would
-        therefore diverge the RNG stream the moment a respawn fires, so
-        draws are *segmented*: maximal runs of positions that cannot
-        trigger extra draws (everything except campaign members when
-        respawn is on) get one vector draw over their live accounts,
-        while respawn-capable positions draw scalar in place.  The
-        result is bit-identical to the scalar loop at any world size.
+        sequence; a campaign member's suspension respawns a replacement,
+        which inserts extra draws mid-stream (the new member's profile).
+        Batching the whole population would therefore diverge the RNG
+        stream the moment a respawn fires, so draws are *segmented*:
+        maximal runs of positions that cannot trigger extra draws
+        (everything except campaign members) get one vector draw over
+        their live accounts, while campaign members draw scalar in
+        place.  The result is bit-identical to the scalar loop at any
+        world size.
         """
         pop = self.population
         config = pop.config
@@ -809,8 +793,7 @@ class TwitterEngine:
             account.suspended = True
             campaign_id = pop.truth.account_campaign.get(uid)
             if (
-                config.campaign_respawn
-                and kind is AccountKind.CAMPAIGN_SPAMMER
+                kind is AccountKind.CAMPAIGN_SPAMMER
                 and campaign_id is not None
             ):
                 campaign = pop.campaigns[campaign_id]
@@ -818,10 +801,7 @@ class TwitterEngine:
                 pop.spawn_campaign_member(campaign, self.clock.now)
             return 1
 
-        if config.campaign_respawn:
-            respawn_capable = np.nonzero(pop.campaign_member_flags[:n0])[0]
-        else:
-            respawn_capable = np.zeros(0, dtype=np.int64)
+        respawn_capable = np.nonzero(pop.campaign_member_flags[:n0])[0]
         start = 0
         for sp in respawn_capable:
             sp = int(sp)

@@ -1,10 +1,11 @@
-"""LSH banding over MinHash signatures.
+"""Grouping MinHash signatures: one dict bucket on (scope, signature).
 
-Banding replaces the all-pairs candidate scan with band-bucket
-lookups.  The contract under test: at ``threshold=1.0`` the groups
-are bit-identical to exact full-signature bucketing; below 1.0 the
-grouping is true near-duplicate single-linkage; and the output is
-byte-stable at any worker count.
+Two texts are the same exactly when their signatures agree (§IV-B), so
+grouping needs no candidate scan.  The contract under test: groups
+come out in first-appearance order with members ascending, never span
+two scopes, and are byte-stable at any worker count.  (The file and
+``TestGroupSignaturesBanded`` are named for the LSH band buckets that
+grouping used to go through.)
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.labeling.minhash import (
-    DEFAULT_BANDS,
     MinHasher,
-    band_keys,
     group_by_signature,
-    group_signatures_banded,
+    group_signatures,
 )
 from repro.obs import reset, set_enabled
 
@@ -29,30 +28,6 @@ def clean_obs():
     reset()
 
 
-class TestBandKeys:
-    def test_bands_partition_the_signature(self):
-        signature = tuple(range(128))
-        keys = band_keys(signature, n_bands=4)
-        assert [band for band, __ in keys] == [0, 1, 2, 3]
-        flattened = tuple(
-            value for __, chunk in keys for value in chunk
-        )
-        assert flattened == signature
-
-    def test_agreeing_band_shares_a_key(self):
-        a = (1, 2, 3, 4, 5, 6, 7, 8)
-        b = (1, 2, 9, 9, 9, 9, 9, 9)
-        keys_a = dict(band_keys(a, n_bands=4))
-        keys_b = dict(band_keys(b, n_bands=4))
-        assert keys_a[0] == keys_b[0]
-        assert keys_a[1] != keys_b[1]
-
-    @pytest.mark.parametrize("n_bands", [0, 3, 7])
-    def test_indivisible_band_count_raises(self, n_bands):
-        with pytest.raises(ValueError):
-            band_keys(tuple(range(8)), n_bands=n_bands)
-
-
 class TestGroupSignaturesBanded:
     def test_exact_mode_matches_full_signature_bucketing(self):
         signatures = [
@@ -62,47 +37,17 @@ class TestGroupSignaturesBanded:
             (5, 6, 7, 8),
             (9, 9, 9, 9),
             (1, 2, 3, 4),
+            (1, 2, 3, 5),
         ]
-        groups = group_signatures_banded(signatures, n_bands=2)
-        # First-appearance order, members ascending — the order a
-        # plain dict bucket over full signatures would emit.
+        groups = group_signatures(signatures)
+        # First-appearance order, members ascending; agreeing on all
+        # but one minimum is not the same text.
         assert groups == [[0, 2, 5], [1, 4]]
-
-    def test_indivisible_band_count_raises(self):
-        with pytest.raises(ValueError):
-            group_signatures_banded([(1, 2, 3)], n_bands=2)
 
     def test_scopes_split_groups(self):
         signatures = [(1, 2), (1, 2), (1, 2)]
-        groups = group_signatures_banded(
-            signatures, scopes=[0, 0, 1], n_bands=2
-        )
+        groups = group_signatures(signatures, scopes=[0, 0, 1])
         assert groups == [[0, 1]]
-
-    def test_threshold_below_one_links_near_duplicates(self):
-        # 6 of 8 minima agree (75%); no whole half-band agrees with
-        # n_bands=2 but a quarter band does with n_bands=4.
-        a = (1, 2, 3, 4, 5, 6, 7, 8)
-        b = (1, 2, 3, 4, 5, 6, 99, 98)
-        groups = group_signatures_banded(
-            [a, b], threshold=0.75, n_bands=4
-        )
-        assert groups == [[0, 1]]
-        # Exact mode refuses the same pair.
-        assert (
-            group_signatures_banded([a, b], threshold=1.0, n_bands=4)
-            == []
-        )
-
-    def test_threshold_filters_bucket_mates(self):
-        # Shares band 0 only; 2 of 8 agreeing minima is far below a
-        # 0.75 threshold, so the candidate pair must be rejected.
-        a = (1, 2, 3, 4, 5, 6, 7, 8)
-        b = (1, 2, 90, 91, 92, 93, 94, 95)
-        groups = group_signatures_banded(
-            [a, b], threshold=0.75, n_bands=4
-        )
-        assert groups == []
 
 
 class TestWorkerCountInvariance:
@@ -126,23 +71,3 @@ class TestWorkerCountInvariance:
                 )
                 == base
             )
-
-    def test_near_duplicate_threshold_stable_across_workers(self):
-        hasher = MinHasher(n_hashes=64, seed=0)
-        base = group_by_signature(
-            self.TEXTS, hasher=hasher, workers=0, threshold=0.5
-        )
-        assert base
-        assert (
-            group_by_signature(
-                self.TEXTS, hasher=hasher, workers=4, threshold=0.5
-            )
-            == base
-        )
-        # The relaxed threshold can only merge more, never fewer.
-        exact = group_by_signature(self.TEXTS, hasher=hasher, workers=0)
-        assert sum(len(g) for g in base) >= sum(len(g) for g in exact)
-
-    def test_default_band_count_divides_default_signature(self):
-        hasher = MinHasher()
-        assert hasher.n_hashes % DEFAULT_BANDS == 0

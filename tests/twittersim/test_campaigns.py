@@ -31,31 +31,53 @@ def make_account(**overrides) -> AccountState:
     return AccountState(**base)
 
 
+def profile_scores(
+    model: SpammerTasteModel, *accounts: AccountState, now: float = 0.0
+) -> list[float]:
+    """``profile_score_batch`` over the accounts' profile columns."""
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(account, name) for account in accounts])
+
+    return model.profile_score_batch(
+        now,
+        column("created_at"),
+        column("friends_count"),
+        column("followers_count"),
+        column("listed_count"),
+        column("favourites_count"),
+        column("statuses_count"),
+    ).tolist()
+
+
 class TestTasteModel:
     def setup_method(self):
         self.model = SpammerTasteModel()
 
     def test_more_lists_per_day_more_attractive(self):
-        low = make_account(listed_count=10)
-        high = make_account(listed_count=900)
-        assert self.model.profile_score(high, 0) > self.model.profile_score(
-            low, 0
+        low, high = profile_scores(
+            self.model,
+            make_account(listed_count=10),
+            make_account(listed_count=900),
         )
+        assert high > low
 
     def test_more_followers_more_attractive(self):
-        low = make_account(followers_count=50)
-        high = make_account(followers_count=10_000)
-        assert self.model.profile_score(high, 0) > self.model.profile_score(
-            low, 0
+        low, high = profile_scores(
+            self.model,
+            make_account(followers_count=50),
+            make_account(followers_count=10_000),
         )
+        assert high > low
 
     def test_low_friend_follower_ratio_more_attractive(self):
         # Same total, inverted ratio: 1:10 beats 10:1 (Table VI rank 10).
-        celebrity = make_account(friends_count=100, followers_count=1000)
-        follower_farm = make_account(friends_count=1000, followers_count=100)
-        assert self.model.profile_score(
-            celebrity, 0
-        ) > self.model.profile_score(follower_farm, 0)
+        celebrity, follower_farm = profile_scores(
+            self.model,
+            make_account(friends_count=100, followers_count=1000),
+            make_account(friends_count=1000, followers_count=100),
+        )
+        assert celebrity > follower_farm
 
     def test_age_peaks_near_1000_days(self):
         def account_aged(age_days: float) -> AccountState:
@@ -67,12 +89,11 @@ class TestTasteModel:
                 favourites_count=int(1 * age_days),
             )
 
-        scores = {
-            age: self.model.profile_score(account_aged(age), 0)
-            for age in (10, 1000, 3000)
-        }
-        assert scores[1000] > scores[10]
-        assert scores[1000] > scores[3000]
+        young, peak, old = profile_scores(
+            self.model, *(account_aged(age) for age in (10, 1000, 3000))
+        )
+        assert peak > young
+        assert peak > old
 
     def test_hashtag_context_follows_taste_table(self):
         social = self.model.context_multiplier(HashtagCategory.SOCIAL, "none")
@@ -90,31 +111,32 @@ class TestTasteModel:
         assert up > popular > down > none
 
     def test_score_multiplies_profile_and_context(self):
-        account = make_account()
-        base = self.model.profile_score(account, 0)
-        combined = self.model.score(
-            account, 0, HashtagCategory.SOCIAL, "trending_up"
+        # The context scales a victim's (concentrated) profile score by
+        # the product of its hashtag and trending factors.
+        context = self.model.context_multiplier(
+            HashtagCategory.SOCIAL, "trending_up"
         )
-        expected = (
-            base
-            * HASHTAG_TASTE[HashtagCategory.SOCIAL]
+        assert context == pytest.approx(
+            HASHTAG_TASTE[HashtagCategory.SOCIAL]
             * TRENDING_TASTE["trending_up"]
         )
-        assert combined == pytest.approx(expected)
 
-    def test_sampling_weight_concentrates_profile_not_context(self):
-        strong = make_account(listed_count=1500, followers_count=20_000)
-        weak = make_account(listed_count=0, followers_count=10)
-        ratio_scores = self.model.score(strong, 0) / self.model.score(weak, 0)
-        ratio_weights = self.model.sampling_weight(
-            strong, 0
-        ) / self.model.sampling_weight(weak, 0)
-        assert ratio_weights > ratio_scores  # sharper than linear
+    def test_victim_weight_concentrates_profile_not_context(self):
+        # The engine weighs a victim by profile score ** concentration
+        # times the (linear) context multiplier.
+        strong, weak = profile_scores(
+            self.model,
+            make_account(listed_count=1500, followers_count=20_000),
+            make_account(listed_count=0, followers_count=10),
+        )
+        concentration = self.model.weights.concentration
+        ratio_weights = strong**concentration / weak**concentration
+        assert ratio_weights > strong / weak  # sharper than linear
 
     def test_scores_positive_and_finite(self):
         rng = np.random.default_rng(0)
-        for __ in range(100):
-            account = make_account(
+        accounts = [
+            make_account(
                 friends_count=int(rng.integers(0, 50_000)),
                 followers_count=int(rng.integers(0, 50_000)),
                 listed_count=int(rng.integers(0, 3000)),
@@ -122,8 +144,10 @@ class TestTasteModel:
                 statuses_count=int(rng.integers(0, 300_000)),
                 created_at=-days(float(rng.uniform(1, 3200))),
             )
-            score = self.model.profile_score(account, 0)
-            assert np.isfinite(score) and score > 0
+            for __ in range(100)
+        ]
+        scores = np.array(profile_scores(self.model, *accounts))
+        assert np.isfinite(scores).all() and (scores > 0).all()
 
 
 class TestMakeCampaign:

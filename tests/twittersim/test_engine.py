@@ -112,12 +112,27 @@ class TestSpamBehavior:
         engine.subscribe(capture)
         engine.run_hours(8)
         assert len(victims) > 20
-        now = engine.clock.now
-        scores = {
-            uid: engine.taste.profile_score(population.accounts[uid], now)
+        normal = [
+            uid
             for uid in population.order
             if population.truth.account_kind[uid] is AccountKind.NORMAL
-        }
+        ]
+        rows = [population.index_of[uid] for uid in normal]
+        bases = engine.taste.profile_score_batch(
+            engine.clock.now,
+            *(
+                population.cols.column(name)[rows]
+                for name in (
+                    "created_at",
+                    "friends_count",
+                    "followers_count",
+                    "listed_count",
+                    "favourites_count",
+                    "statuses_count",
+                )
+            ),
+        )
+        scores = dict(zip(normal, bases.tolist()))
         victim_scores = [scores[v] for v in victims if v in scores]
         population_mean = np.mean(list(scores.values()))
         assert np.mean(victim_scores) > 1.3 * population_mean
@@ -142,10 +157,8 @@ class TestModeration:
         )
         assert spammer_share > 0.9
 
-    def test_campaign_respawns_after_suspension(self):
-        config = SimulationConfig.small(
-            seed=3, spam_suspension_rate=0.3, campaign_respawn=True
-        )
+    def test_suspended_campaign_members_are_replaced(self):
+        config = SimulationConfig.small(seed=3, spam_suspension_rate=0.3)
         population = build_population(config)
         sizes_before = [len(c.member_ids) for c in population.campaigns]
         engine = TwitterEngine(population)
