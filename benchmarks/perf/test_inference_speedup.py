@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.ml.base import check_X
 from repro.ml.forest import RandomForestClassifier
 from repro.obs import reset, set_enabled
 
@@ -43,6 +44,17 @@ def quiet_obs():
     yield
     reset()
     set_enabled(True)
+
+
+def per_tree_walk(forest: RandomForestClassifier, X: np.ndarray):
+    """The object-tree path: one traversal per tree, leaf values summed
+    in tree order, with the same input check as ``predict_proba``."""
+    X = check_X(X, forest.n_features_)
+    p1 = np.zeros(X.shape[0])
+    for tree in forest.trees_:
+        p1 += tree.predict_value(X)
+    p1 /= len(forest.trees_)
+    return np.column_stack([1.0 - p1, p1])
 
 
 def _fitted_forest() -> RandomForestClassifier:
@@ -69,11 +81,11 @@ def test_compiled_inference_speedup_with_identical_probabilities():
     batches = _batches()
 
     # Warm both paths (first-touch allocations out of the timing).
-    forest.predict_proba_trees(batches[0])
+    per_tree_walk(forest, batches[0])
     compiled.predict_proba(batches[0])
 
     start = time.perf_counter()
-    reference = [forest.predict_proba_trees(X) for X in batches]
+    reference = [per_tree_walk(forest, X) for X in batches]
     t_trees = time.perf_counter() - start
 
     start = time.perf_counter()

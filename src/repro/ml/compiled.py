@@ -11,17 +11,19 @@ trees of all rows at once**: one flat cursor array of shape
 whole forest costs roughly ``max_depth`` numpy dispatch rounds instead
 of ``n_trees * max_depth``.
 
-Bit-identity contract: the object-tree reference path
-(:meth:`RandomForestClassifier.predict_proba_trees`) accumulates each
-tree's leaf value into the probability sum *in tree order* and then
-divides by the tree count.  The compiled path gathers the same leaf
-values (same comparisons against the same thresholds, so the same
-leaves) and accumulates them column-by-column in the same tree order —
-float addition happens per row in the identical sequence, making the
-two paths bitwise-equal, not merely close.  ``tests/ml/
-test_compiled_parity.py`` pins this across seeds, class balances, and
-worker counts; ``benchmarks/perf/test_inference_speedup.py`` gates the
-speedup that justifies the extra representation.
+Bit-identity contract: walking the trees one at a time
+(``_FlatTree.predict_value``) and accumulating each tree's leaf value
+into the probability sum *in tree order*, then dividing by the tree
+count, defines the forest's probabilities.  The compiled path gathers
+the same leaf values (same comparisons against the same thresholds, so
+the same leaves) and accumulates them column-by-column in the same
+tree order — float addition happens per row in the identical sequence,
+making the two bitwise-equal, not merely close.  ``tests/ml/
+test_compiled_parity.py`` pins this against a per-tree walk across
+seeds, class balances, and worker counts; the golden digests pin the
+arena and its probabilities; ``benchmarks/perf/
+test_inference_speedup.py`` gates the speedup that justifies the extra
+representation.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ class CompiledForest:
     def predict_proba(
         self, X: np.ndarray, row_chunk: int = DEFAULT_ROW_CHUNK
     ) -> np.ndarray:
-        """(n, 2) ensemble probabilities, bit-identical to the
-        object-tree path.
+        """(n, 2) ensemble probabilities, bit-identical to a per-tree
+        walk.
 
         Raises:
             ValueError: on a feature-count mismatch or invalid X.

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..parallel import parallel_map, resolve_workers
-from .base import check_X, check_X_y, require_fitted
+from .base import check_X_y, require_fitted
 from .tree import (
     _FlatTree,
     _LockstepBuilder,
@@ -158,26 +158,10 @@ class RandomForestClassifier:
         """(n, 2) probabilities: mean of per-tree leaf frequencies.
 
         Delegates to the compiled flat-arena traversal
-        (:mod:`repro.ml.compiled`), which is bit-identical to — and
-        several times faster than — the per-tree reference path
-        :meth:`predict_proba_trees`.
+        (:mod:`repro.ml.compiled`), which sums the trees' leaf values in
+        tree order, bit-identical to walking the trees one at a time.
         """
         return self.compiled().predict_proba(X)
-
-    def predict_proba_trees(self, X: np.ndarray) -> np.ndarray:
-        """Reference path: one object-tree traversal per tree.
-
-        Kept as the semantic definition the compiled arena must match
-        bitwise (``tests/ml/test_compiled_parity.py``) and as the
-        baseline of the inference speedup gate.
-        """
-        require_fitted(self, "trees_")
-        X = check_X(X, self.n_features_)
-        p1 = np.zeros(X.shape[0])
-        for tree in self.trees_:
-            p1 += tree.predict_value(X)
-        p1 /= len(self.trees_)
-        return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Binary labels at the 0.5 ensemble-probability threshold."""

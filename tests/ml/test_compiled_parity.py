@@ -1,7 +1,7 @@
-"""CompiledForest vs the object-tree reference path: bitwise parity.
+"""CompiledForest vs a per-tree walk: bitwise parity.
 
-ROADMAP 5b's closing act: the flat-arena inference path must be
-**bit-identical** to walking the ``_FlatTree`` objects — same
+The flat-arena inference path must be **bit-identical** to walking the
+``_FlatTree`` objects one at a time (:func:`per_tree_proba`) — same
 probabilities, same verdicts — across seeds, class balances, worker
 counts, degenerate forests (single tree, stumps), and any row-chunk
 size.  The accumulation order (tree by tree, then one division) is the
@@ -16,6 +16,16 @@ import pytest
 
 from repro.ml.compiled import CompiledForest, compile_forest
 from repro.ml.forest import RandomForestClassifier
+
+
+def per_tree_proba(forest: RandomForestClassifier, X: np.ndarray):
+    """(n, 2) probabilities from one object-tree traversal per tree,
+    leaf values summed in tree order and then divided once."""
+    p1 = np.zeros(X.shape[0])
+    for tree in forest.trees_:
+        p1 += tree.predict_value(X)
+    p1 /= len(forest.trees_)
+    return np.column_stack([1.0 - p1, p1])
 
 
 def make_data(seed: int = 0, n: int = 400, balance: float = 0.0):
@@ -40,7 +50,7 @@ class TestBitwiseParity:
         forest, X = fit_forest(seed=seed)
         assert np.array_equal(
             forest.compiled().predict_proba(X),
-            forest.predict_proba_trees(X),
+            per_tree_proba(forest, X),
         )
 
     @pytest.mark.parametrize("balance", [-1.5, 0.0, 1.5])
@@ -48,7 +58,7 @@ class TestBitwiseParity:
         forest, X = fit_forest(balance=balance)
         assert np.array_equal(
             forest.compiled().predict_proba(X),
-            forest.predict_proba_trees(X),
+            per_tree_proba(forest, X),
         )
 
     @pytest.mark.parametrize("workers", [0, 4])
@@ -56,14 +66,14 @@ class TestBitwiseParity:
         forest, X = fit_forest(workers=workers)
         assert np.array_equal(
             forest.compiled().predict_proba(X),
-            forest.predict_proba_trees(X),
+            per_tree_proba(forest, X),
         )
 
     def test_predict_matches(self):
         forest, X = fit_forest()
         assert np.array_equal(
             forest.compiled().predict(X),
-            (forest.predict_proba_trees(X)[:, 1] >= 0.5).astype(
+            (per_tree_proba(forest, X)[:, 1] >= 0.5).astype(
                 np.int64
             ),
         )
@@ -71,7 +81,7 @@ class TestBitwiseParity:
     def test_default_predict_proba_uses_compiled_path(self):
         forest, X = fit_forest()
         assert np.array_equal(
-            forest.predict_proba(X), forest.predict_proba_trees(X)
+            forest.predict_proba(X), per_tree_proba(forest, X)
         )
 
 
@@ -80,14 +90,14 @@ class TestDegenerateForests:
         forest, X = fit_forest(n_estimators=1)
         assert np.array_equal(
             forest.compiled().predict_proba(X),
-            forest.predict_proba_trees(X),
+            per_tree_proba(forest, X),
         )
 
     def test_stumps(self):
         forest, X = fit_forest(max_depth=1)
         assert np.array_equal(
             forest.compiled().predict_proba(X),
-            forest.predict_proba_trees(X),
+            per_tree_proba(forest, X),
         )
 
     def test_empty_input(self):
@@ -103,7 +113,7 @@ class TestRowChunking:
         compiled = forest.compiled()
         assert np.array_equal(
             compiled.predict_proba(X, row_chunk=row_chunk),
-            forest.predict_proba_trees(X),
+            per_tree_proba(forest, X),
         )
 
 
