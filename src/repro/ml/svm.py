@@ -6,6 +6,12 @@ learning-rate schedule — a standard, dependency-free way to train the
 paper's SVM baseline.  Inputs should be standardized; the class keeps
 an internal standardizer so it can be dropped into the shared
 cross-validation harness unmodified.
+
+The bias is the weight of a constant-1 feature, so it is shrunk and
+projected with the rest of ``w`` (textbook Pegasos).  An unregularized
+bias stepped at the full 1/(λ t) rate runs away on imbalanced data:
+with few positives it drifts so far negative that every margin is
+negative and the model flags nothing.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ class LinearSVC:
             self._scaler = StandardScaler().fit(X)
             X = self._scaler.transform(X)
         signs = 2.0 * y - 1.0  # {-1, +1}
+        X = np.column_stack([X, np.ones(len(X))])
         n, d = X.shape
         rng = np.random.default_rng(self.seed)
         w = np.zeros(d)
-        b = 0.0
         t = 0
         lam = self.lambda_reg
         for __ in range(self.n_epochs):
@@ -65,21 +71,20 @@ class LinearSVC:
                 t += 1
                 batch = order[start : start + self.batch_size]
                 eta = 1.0 / (lam * t)
-                margins = signs[batch] * (X[batch] @ w + b)
+                margins = signs[batch] * (X[batch] @ w)
                 violators = margins < 1.0
                 w *= 1.0 - eta * lam
                 if np.any(violators):
                     rows = batch[violators]
                     scale = eta / len(batch)
                     w += scale * (signs[rows] @ X[rows])
-                    b += scale * signs[rows].sum()
                 # Pegasos projection onto the ball of radius 1/sqrt(lam).
                 norm = np.linalg.norm(w)
                 radius = 1.0 / np.sqrt(lam)
                 if norm > radius:
                     w *= radius / norm
-        self.weights_ = w
-        self.bias_ = float(b)
+        self.weights_ = w[:-1]
+        self.bias_ = float(w[-1])
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:

@@ -15,6 +15,15 @@ def linear_data(n=500, seed=0, margin=1.0):
     return X, y
 
 
+def imbalanced_data(n=1000, seed=0, positive_share=0.08):
+    """Linearly separable data whose top 8% of scores are positive."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 4))
+    score = X @ np.array([2.0, -1.0, 0.5, 0.0])
+    y = (score > np.quantile(score, 1 - positive_share)).astype(int)
+    return X, y
+
+
 class TestLinearSVC:
     def test_separable_accuracy(self):
         X, y = linear_data()
@@ -39,6 +48,17 @@ class TestLinearSVC:
         proba = model.predict_proba(X)[:, 1]
         order = np.argsort(scores)
         assert (np.diff(proba[order]) >= -1e-12).all()
+
+    def test_flags_the_minority_class(self):
+        # Spam is the minority (Table IV's ground truth is ~6% spam).
+        # A bias left outside the regularized, projected weights runs
+        # away negative here and the model flags nothing.
+        X, y = imbalanced_data()
+        predicted = LinearSVC(n_epochs=15, seed=0).fit(X, y).predict(X)
+        recall = predicted[y == 1].mean()
+        precision = y[predicted == 1].mean()
+        assert recall > 0.7
+        assert precision > 0.8
 
     def test_weight_norm_bounded_by_pegasos_projection(self):
         X, y = linear_data(n=300)
