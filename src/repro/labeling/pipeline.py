@@ -170,6 +170,11 @@ class GroundTruthLabeler:
         tweets_of_user: dict[int, list[int]] = defaultdict(list)
         for i, uid in enumerate(authors):
             tweets_of_user[uid].append(i)
+        # Screen-name pattern groups (indices into unique_users) serve
+        # both the clustering stage and the affiliation rule.
+        name_groups = group_by_pattern(
+            [profile_of[uid].screen_name for uid in unique_users]
+        )
 
         spam_user: dict[int, str] = {}
         spam_tweet: dict[int, str] = {}
@@ -226,7 +231,9 @@ class GroundTruthLabeler:
         if self.enable_clustering:
             with trace("label.clustering") as span:
                 before = (len(spam_tweet), len(spam_user))
-                user_groups = self._user_groups(unique_users, profile_of)
+                user_groups = self._user_groups(
+                    unique_users, profile_of, name_groups
+                )
                 with trace("label.neardup") as ndspan:
                     tweet_groups = group_near_duplicates(
                         tweets, self.hasher, workers=self.workers
@@ -239,9 +246,6 @@ class GroundTruthLabeler:
                 stage_span(span, "clustering", before)
 
         # -- Stage 3: rule-based -----------------------------------------
-        name_groups = group_by_pattern(
-            [profile_of[uid].screen_name for uid in unique_users]
-        )
         name_groups_tweets = [
             [i for uid_idx in group for i in tweets_of_user[unique_users[uid_idx]]]
             for group in name_groups
@@ -280,9 +284,16 @@ class GroundTruthLabeler:
     # ------------------------------------------------------------------
 
     def _user_groups(
-        self, unique_users: list[int], profile_of: dict
+        self,
+        unique_users: list[int],
+        profile_of: dict,
+        name_groups: list[list[int]],
     ) -> list[list[int]]:
-        """All clustering-stage user groups, as lists of user ids."""
+        """All clustering-stage user groups, as lists of user ids.
+
+        ``name_groups`` are the screen-name pattern groups, as indices
+        into ``unique_users``.
+        """
         groups: list[list[int]] = []
         # Profile-image dHash (default avatars excluded: the shared
         # platform egg is not campaign evidence).
@@ -305,9 +316,7 @@ class GroundTruthLabeler:
         # Screen-name patterns.
         with trace("label.screenname") as span:
             n_before = len(groups)
-            for group in group_by_pattern(
-                [profile_of[uid].screen_name for uid in unique_users]
-            ):
+            for group in name_groups:
                 groups.append([unique_users[i] for i in group])
             span.set(groups=len(groups) - n_before)
         # Description MinHash.
