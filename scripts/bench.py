@@ -142,35 +142,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         action="store_true",
         help="append the ledger line but never fail on regressions",
     )
-    parser.add_argument(
-        "--lint-wall",
-        action="store_true",
-        help=(
-            "additionally time a full-tree repro-lint pass and record "
-            "it as totals.lint_wall_s in the ledger, so the lint "
-            "layer's own cost accumulates a trajectory"
-        ),
-    )
     return parser.parse_args(argv)
-
-
-def _lint_wall_seconds() -> float:
-    """Wall-clock of one full-tree repro-lint pass."""
-    import time
-
-    from repro.devtools.lint import run_lint
-
-    start = time.perf_counter()
-    run_lint(
-        [
-            REPO_ROOT / "src" / "repro",
-            REPO_ROOT / "scripts",
-            REPO_ROOT / "examples",
-            REPO_ROOT / "benchmarks",
-        ],
-        root=REPO_ROOT,
-    )
-    return time.perf_counter() - start
 
 
 def _comparable(record: RunRecord, current: RunRecord) -> bool:
@@ -231,12 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     if health is not None:
         record.totals["alerts_fired"] = health.alerts_fired
         record.incidents = health.incidents.to_payload()
-    if args.lint_wall:
-        record.totals["lint_wall_s"] = round(_lint_wall_seconds(), 4)
-        print(
-            "lint wall-clock: "
-            f"{record.totals['lint_wall_s']:.2f}s (full tree)"
-        )
 
     # The trajectory accumulates even when gating is skipped: history
     # is what makes future medians trustworthy.  The baseline is read

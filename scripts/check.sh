@@ -30,7 +30,6 @@ echo "== repro-lint (invariants) =="
 mkdir -p results
 PYTHONPATH=src python -m repro.devtools.lint \
     src/repro scripts examples benchmarks \
-    --baseline lint-baseline.json \
     --format sarif --output results/lint.sarif \
     --max-seconds 10
 

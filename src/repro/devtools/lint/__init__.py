@@ -25,7 +25,8 @@ Rule families (full catalog: ``python -m repro.devtools.lint
   ledger lines under ``results/ledger/`` go through ``RunLedger``;
 * ``RPL3xx`` hygiene — mutable defaults, silently-swallowed broad
   excepts, ``print`` in library code; ``RPL31x`` audit the inline
-  ``# repro-lint: disable=`` pragmas (stale, unknown-id, no reason);
+  ``# repro-lint: disable=`` pragmas (stale, unknown-id, no reason),
+  which are the one way to suppress a finding;
 * ``RPL4xx`` parallel-safety — callables shipped to pool workers must
   be module-level (RPL401), must not mutate module globals (RPL402),
   and must not emit events the obsmerge protocol cannot ship back
@@ -46,7 +47,6 @@ Programmatic use mirrors the CLI:
 from __future__ import annotations
 
 from .base import DETERMINISTIC_PACKAGES, FileContext, FileRule, ProjectRule, Rule
-from .baseline import Baseline, BaselineEntry, BaselineError
 from .engine import (
     ALL_RULES,
     KNOWN_RULE_IDS,
@@ -59,8 +59,7 @@ from .engine import (
     validate_rule_ids,
 )
 from .findings import Finding
-from .fixes import FIXABLE_RULES, apply_fixes, fix_source
-from .formats import to_github, to_sarif
+from .formats import to_sarif
 from .observability_rules import NAMESPACES, TAXONOMY_RE
 from .suppressions import Pragma, apply_pragmas, collect_pragmas
 from .symbols import (
@@ -74,11 +73,7 @@ from .symbols import (
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
     "DETERMINISTIC_PACKAGES",
-    "FIXABLE_RULES",
     "FileContext",
     "FileRule",
     "Finding",
@@ -95,16 +90,13 @@ __all__ = [
     "RuleSelectionError",
     "SymbolDef",
     "TAXONOMY_RE",
-    "apply_fixes",
     "apply_pragmas",
     "collect_pragmas",
-    "fix_source",
     "iter_python_files",
     "lint_paths",
     "module_name_for",
     "run_lint",
     "select_rules",
-    "to_github",
     "to_sarif",
     "validate_rule_ids",
 ]

@@ -3,26 +3,28 @@
 .. code-block:: console
 
     $ python -m repro.devtools.lint src/repro --format json
-    $ python -m repro.devtools.lint src scripts --baseline lint-baseline.json
     $ python -m repro.devtools.lint --select RPL0 src/repro   # determinism only
     $ python -m repro.devtools.lint --format sarif --output results/lint.sarif src
-    $ python -m repro.devtools.lint --fix src/repro           # repair hygiene findings
     $ python -m repro.devtools.lint --list-rules
 
-Exit codes: 0 clean, 1 active findings (or budget exceeded), 2
-usage/baseline error.
+Inline ``# repro-lint: disable=RPLxxx -- reason`` pragmas are the one
+way to suppress a finding (:mod:`.suppressions`).
+
+Exit codes: 0 clean, 1 active findings (or budget exceeded), 2 usage
+error (an unknown rule id, a path that does not exist, a budget that
+is not a finite number > 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import Baseline, BaselineError
 from .engine import (
     ALL_RULES,
     RuleSelectionError,
@@ -31,8 +33,17 @@ from .engine import (
     validate_rule_ids,
 )
 from .findings import Finding
-from .fixes import FIXABLE_RULES, apply_fixes
-from .formats import to_github, to_sarif
+from .formats import to_sarif
+
+
+def _budget(text: str) -> float:
+    """``--max-seconds``: a finite number > 0 (``nan`` never trips)."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif", "github"),
+        choices=("text", "json", "sarif"),
         default="text",
         help="output format (default: text)",
     )
@@ -61,17 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the formatted report to FILE instead of stdout "
         "(a one-line text summary still goes to stdout)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON baseline of justified findings to suppress",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the active findings as a baseline skeleton and "
-        "exit 0",
     )
     parser.add_argument(
         "--select",
@@ -88,14 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule-id prefixes to skip",
     )
     parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="autofix the mechanical hygiene findings "
-        f"({', '.join(sorted(FIXABLE_RULES))}) in place, then re-lint",
-    )
-    parser.add_argument(
         "--max-seconds",
-        type=float,
+        type=_budget,
         default=None,
         metavar="S",
         help="fail (exit 1) if the lint pass exceeds S wall-clock "
@@ -129,7 +123,6 @@ def _split_ids(values: Sequence[str] | None) -> list[str] | None:
 def _render_text(
     active: list[Finding],
     suppressed: list[Finding],
-    unused_entries,
     n_files: int,
     out,
 ) -> None:
@@ -138,12 +131,6 @@ def _render_text(
         print(finding.render() + marker, file=out)
         if finding.fix_hint:
             print(f"    hint: {finding.fix_hint}", file=out)
-    for entry in unused_entries:
-        print(
-            f"warning: stale baseline entry {entry.rule} at "
-            f"{entry.path}:{entry.line} matched nothing",
-            file=out,
-        )
     summary = (
         f"{len(active)} finding(s), {len(suppressed)} suppressed, "
         f"{n_files} file(s) checked"
@@ -154,39 +141,32 @@ def _render_text(
 def _render_json(
     active: list[Finding],
     suppressed: list[Finding],
-    unused_entries,
     n_files: int,
     out,
 ) -> None:
     payload = {
         "findings": [f.to_dict() for f in active],
         "suppressed": [f.to_dict() for f in suppressed],
-        "stale_baseline_entries": [
-            {"rule": e.rule, "path": e.path, "line": e.line}
-            for e in unused_entries
-        ],
         "checked_files": n_files,
     }
     json.dump(payload, out, indent=2)
     print(file=out)
 
 
-def _format_report(args, active, suppressed, unused, n_files) -> str:
+def _format_report(args, active, suppressed, n_files) -> str:
     """The report in the chosen format, as a string."""
     import io
 
     buffer = io.StringIO()
     if args.format == "json":
-        _render_json(active, suppressed, unused, n_files, buffer)
+        _render_json(active, suppressed, n_files, buffer)
     elif args.format == "sarif":
         json.dump(
             to_sarif(active, ALL_RULES), buffer, indent=2
         )
         buffer.write("\n")
-    elif args.format == "github":
-        buffer.write(to_github(active))
     else:
-        _render_text(active, suppressed, unused, n_files, buffer)
+        _render_text(active, suppressed, n_files, buffer)
     return buffer.getvalue()
 
 
@@ -219,44 +199,20 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         print("error: no rules selected", file=sys.stderr)
         return 2
 
+    missing = [path for path in args.paths if not Path(path).exists()]
+    if missing:
+        print(
+            f"error: no such file or directory: {', '.join(missing)}",
+            file=sys.stderr,
+        )
+        return 2
+
     started = time.perf_counter()
     result = lint_paths(args.paths, rules=rules, root=args.root)
-
-    if args.fix:
-        contexts = _reload_contexts(args)
-        repaired = apply_fixes(contexts, result.findings)
-        if repaired:
-            for relpath in repaired:
-                print(f"fixed: {relpath}", file=out)
-            result = lint_paths(args.paths, rules=rules, root=args.root)
     elapsed = time.perf_counter() - started
+    active, suppressed = result.findings, result.pragma_suppressed
 
-    baseline = Baseline.empty()
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    active, baseline_suppressed, unused = baseline.partition(
-        result.findings
-    )
-    suppressed = [*baseline_suppressed, *result.pragma_suppressed]
-
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            Baseline.render(active), encoding="utf-8"
-        )
-        print(
-            f"wrote {len(active)} entr(y/ies) to "
-            f"{args.write_baseline}; fill in the justifications",
-            file=out,
-        )
-        return 0
-
-    report = _format_report(
-        args, active, suppressed, unused, result.n_files
-    )
+    report = _format_report(args, active, suppressed, result.n_files)
     if args.output:
         target = Path(args.output)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -277,19 +233,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         )
         return 1
     return 1 if active else 0
-
-
-def _reload_contexts(args):
-    """Fresh contexts for the fixer (sources straight from disk)."""
-    from .engine import iter_python_files, load_context
-
-    root = Path(args.root) if args.root else Path.cwd()
-    contexts = []
-    for path in iter_python_files(args.paths):
-        loaded = load_context(path, root)
-        if not isinstance(loaded, Finding):
-            contexts.append(loaded)
-    return contexts
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ bounded by parse time plus one bounded graph traversal.
 
 After the rules run, inline ``# repro-lint: disable=`` pragmas are
 applied (and audited — stale or typo'd pragmas become RPL31x
-findings), so :func:`lint_paths` already returns the post-pragma view;
-the baseline file is a second, coarser layer applied by the CLI.
+findings), so :func:`lint_paths` returns the post-pragma view.
+Pragmas are the one way to suppress a finding.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def select_rules(
 
 @dataclass
 class LintResult:
-    """Everything one lint run produced (pre-baseline)."""
+    """Everything one lint run produced."""
 
     #: Findings still standing after inline pragmas (includes the
     #: RPL31x pragma-audit findings).

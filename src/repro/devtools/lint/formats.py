@@ -1,12 +1,11 @@
-"""CI-facing output formats: SARIF 2.1.0 and GitHub annotations.
+"""The CI-facing output format: SARIF 2.1.0.
 
 SARIF is the interchange format GitHub code scanning (and most SARIF
 viewers) ingest: one ``run`` with a ``tool.driver`` carrying the rule
 catalog and a flat ``results`` list pointing back into it by
 ``ruleIndex``.  Only the schema subset those consumers actually read
-is emitted — no optional noise.  The GitHub-annotation format is the
-plain-text fallback (``::error file=...``) that a workflow can pipe
-straight to the job log to annotate a PR without code-scanning setup.
+is emitted — no optional noise.  CI uploads the lint lane's
+``results/lint.sarif``.
 """
 
 from __future__ import annotations
@@ -114,21 +113,3 @@ def to_sarif(
         ],
     }
 
-
-def to_github(findings: Sequence[Finding]) -> str:
-    """GitHub workflow-command annotations, one line per finding.
-
-    ``::error file=path,line=N,col=C,title=RPLxxx::message`` — emitted
-    to a job log, these surface as inline PR annotations.
-    """
-    lines = []
-    for finding in findings:
-        level = _level(finding.severity)
-        message = finding.message.replace("%", "%25").replace(
-            "\n", "%0A"
-        )
-        lines.append(
-            f"::{level} file={finding.path},line={finding.line},"
-            f"col={finding.col + 1},title={finding.rule}::{message}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")

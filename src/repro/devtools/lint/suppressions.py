@@ -1,9 +1,8 @@
 """Inline ``# repro-lint: disable=...`` pragmas (RPL310-RPL312).
 
-The baseline file suppresses findings *at a distance* — an entry in
-``lint-baseline.json`` can drift away from the code it excuses.  A
-pragma lives on the offending line, travels with it through edits, and
-carries its justification in the diff:
+A pragma is the one way to suppress a finding.  It lives on the
+offending line, travels with it through edits, and carries its
+justification in the diff:
 
 .. code-block:: python
 
@@ -17,16 +16,15 @@ standalone comment line suppresses the next physical line.  Rule IDs
 must be exact (``RPL205``) — prefixes are a query-language feature of
 ``--select``, not a suppression granularity.
 
-The same staleness discipline the baseline has applies here, as
-warning-severity meta findings:
+Every pragma is audited, as warning-severity meta findings:
 
 * **RPL310** — a pragma (with every named rule selected in this run)
   that suppressed nothing is dead weight: the violation was fixed but
   the excuse remained.
 * **RPL311** — a pragma naming a rule ID that is not in the catalog
   suppresses nothing silently (usually a typo: ``RPL25``).
-* **RPL312** — a pragma with no ``-- reason`` trailer; like baseline
-  entries, suppressions are only honest with a justification.
+* **RPL312** — a pragma with no ``-- reason`` trailer; suppressions
+  are only honest with a justification.
 
 Pragmas are read from ``tokenize`` COMMENT tokens, never by regexing
 raw lines, so pragma-shaped *strings* can't suppress anything.
@@ -211,14 +209,13 @@ class UnknownSuppressedRule(_PragmaRule):
 
 
 class MissingReasonRule(_PragmaRule):
-    """RPL312: suppressions carry a reason, like baseline entries."""
+    """RPL312: every suppression carries a reason."""
 
     id = "RPL312"
     name = "suppression-without-reason"
     description = (
-        "A disable pragma with no `-- reason` trailer; the baseline "
-        "policy (justified-only, never a backlog) applies to inline "
-        "suppressions too."
+        "A disable pragma with no `-- reason` trailer; a suppression "
+        "records a justified exception, never a backlog."
     )
     fix_hint = (
         "Append ` -- <why this exception is sound>` to the pragma."

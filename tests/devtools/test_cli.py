@@ -1,4 +1,4 @@
-"""The repro-lint CLI: formats, selection, baseline round-trip."""
+"""The repro-lint CLI: formats, selection, bad input, the budget."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import sys
 
 import pytest
 
-from repro.devtools.lint import Baseline, BaselineError
 from repro.devtools.lint.cli import main
 
 from tests.devtools.conftest import FIXTURES, REPO_ROOT
@@ -34,11 +33,16 @@ class TestExitCodes:
         code, _ = run_cli(str(BAD))
         assert code == 1
 
-    def test_bad_baseline_exits_two(self, tmp_path):
-        broken = tmp_path / "baseline.json"
-        broken.write_text('{"version": 99}')
-        code, _ = run_cli(str(BAD), "--baseline", str(broken))
+    def test_missing_path_exits_two_and_names_it(self, capsys):
+        # A mistyped path in a lint lane must not check nothing and
+        # pass.
+        missing = str(FIXTURES / "does" / "not" / "exist")
+        code, out = run_cli(str(GOOD), missing)
         assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert missing in err
+        assert str(GOOD) not in err
 
     def test_empty_selection_exits_two(self):
         code, _ = run_cli(str(BAD), "--select", "NOPE")
@@ -70,7 +74,7 @@ class TestRuleIdValidation:
 
 class TestWallClockBudget:
     def test_over_budget_exits_one_even_when_clean(self, capsys):
-        code, _ = run_cli(str(GOOD), "--max-seconds", "0")
+        code, _ = run_cli(str(GOOD), "--max-seconds", "1e-9")
         assert code == 1
         err = capsys.readouterr().err
         assert "--max-seconds" in err and "budget" in err
@@ -78,6 +82,15 @@ class TestWallClockBudget:
     def test_generous_budget_keeps_clean_exit(self):
         code, _ = run_cli(str(GOOD), "--max-seconds", "60")
         assert code == 0
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1", "fast"])
+    def test_unusable_budget_rejected_when_parsed(self, budget, capsys):
+        # `elapsed > nan` is always false: a NaN budget would never
+        # trip, so it fails as a usage error before any file is read.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(str(GOOD), "--max-seconds", budget)
+        assert exit_info.value.code == 2
+        assert "--max-seconds" in capsys.readouterr().err
 
 
 class TestJsonFormat:
@@ -112,104 +125,6 @@ class TestJsonFormat:
             str(BAD), "--format", "json", "--ignore", "RPL00"
         )
         assert json.loads(out)["findings"] == []
-
-
-class TestBaselineRoundTrip:
-    def test_json_findings_suppress_through_baseline(self, tmp_path):
-        # 1. lint -> JSON findings
-        code, out = run_cli(str(BAD), "--format", "json")
-        assert code == 1
-        findings = json.loads(out)["findings"]
-        # 2. findings -> baseline file (as --write-baseline emits)
-        baseline_path = tmp_path / "baseline.json"
-        entries = [
-            {
-                "rule": f["rule"],
-                "path": f["path"],
-                "line": f["line"],
-                "justification": "fixture: intentionally seeded",
-            }
-            for f in findings
-        ]
-        baseline_path.write_text(
-            json.dumps({"version": 1, "entries": entries})
-        )
-        # 3. relint with the baseline -> clean exit, all suppressed
-        code, out = run_cli(
-            str(BAD),
-            "--format",
-            "json",
-            "--baseline",
-            str(baseline_path),
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["findings"] == []
-        assert len(payload["suppressed"]) == len(findings)
-        assert payload["stale_baseline_entries"] == []
-
-    def test_write_baseline_output_reloads(self, tmp_path):
-        baseline_path = tmp_path / "generated.json"
-        code, _ = run_cli(
-            str(BAD), "--write-baseline", str(baseline_path)
-        )
-        assert code == 0
-        baseline = Baseline.load(baseline_path)
-        assert len(baseline.entries) == 6  # the fixture's findings
-        code, _ = run_cli(
-            str(BAD), "--baseline", str(baseline_path)
-        )
-        assert code == 0
-
-    def test_stale_entries_are_reported_not_fatal(self, tmp_path):
-        baseline_path = tmp_path / "stale.json"
-        baseline_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "RPL999",
-                            "path": "nowhere.py",
-                            "line": 1,
-                            "justification": "long gone",
-                        }
-                    ],
-                }
-            )
-        )
-        code, out = run_cli(
-            str(GOOD),
-            "--format",
-            "json",
-            "--baseline",
-            str(baseline_path),
-        )
-        assert code == 0
-        stale = json.loads(out)["stale_baseline_entries"]
-        assert stale == [
-            {"rule": "RPL999", "path": "nowhere.py", "line": 1}
-        ]
-
-    def test_unjustified_entry_rejected(self, tmp_path):
-        baseline_path = tmp_path / "unjustified.json"
-        baseline_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "RPL001",
-                            "path": "x.py",
-                            "line": 1,
-                            "justification": "   ",
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(BaselineError):
-            Baseline.load(baseline_path)
 
 
 class TestModuleEntryPoint:

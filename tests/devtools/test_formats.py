@@ -1,10 +1,10 @@
-"""SARIF schema shape and GitHub-annotation output."""
+"""SARIF schema shape and the CLI's SARIF output file."""
 
 from __future__ import annotations
 
 import json
 
-from repro.devtools.lint import ALL_RULES, Finding, to_github, to_sarif
+from repro.devtools.lint import ALL_RULES, Finding, to_sarif
 from repro.devtools.lint.cli import main as cli_main
 
 from tests.devtools.conftest import FIXTURES
@@ -83,19 +83,6 @@ class TestSarifShape:
         assert json.loads(json.dumps(self.payload()))
 
 
-class TestGithubFormat:
-    def test_annotation_lines(self):
-        lines = to_github(SAMPLE).splitlines()
-        assert lines[0] == (
-            "::error file=src/repro/core/x.py,line=10,col=5,"
-            "title=RPL002::wall-clock call `time.time()`"
-        )
-        assert lines[1].startswith("::warning file=scripts/y.py")
-
-    def test_empty_input_is_empty_output(self):
-        assert to_github([]) == ""
-
-
 class TestCliIntegration:
     def test_sarif_output_file(self, tmp_path, capsys):
         target = tmp_path / "out" / "lint.sarif"
@@ -108,9 +95,3 @@ class TestCliIntegration:
         assert doc["runs"][0]["results"]
         summary = capsys.readouterr().out
         assert "finding(s)" in summary
-
-    def test_github_format_stdout(self, capsys):
-        code = cli_main([str(BAD), "--format", "github"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert out.startswith("::error file=")

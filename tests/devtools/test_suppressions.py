@@ -55,10 +55,9 @@ class TestSuppression:
             ("RPL005", 14),
         }
 
-    def test_suppressed_findings_never_reach_baseline(self):
-        # Pragma application happens inside lint_paths, so the
-        # baseline layer can only ever see post-pragma findings —
-        # converted baseline entries go stale automatically.
+    def test_lint_paths_returns_post_pragma_findings(self):
+        # Pragma application happens inside lint_paths, so every
+        # caller (the CLI, run_lint) sees only post-pragma findings.
         result = lint_world()
         active_keys = {(f.rule, f.line) for f in result.findings}
         assert ("RPL001", 9) not in active_keys
