@@ -26,7 +26,6 @@ BENCH_CLI = REPO_ROOT / "scripts" / "bench.py"
 def run_bench(ledger: Path, *extra: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_PROFILE", None)
     args = [
         sys.executable,
         str(BENCH_CLI),

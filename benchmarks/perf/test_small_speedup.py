@@ -53,7 +53,6 @@ def run_small(tmp_path: Path) -> float:
     """One CLI small run; returns its ledger line's totals.wall_s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_PROFILE", None)
     proc = subprocess.run(
         [
             sys.executable,

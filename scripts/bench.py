@@ -16,9 +16,9 @@ perf regressions per PR:
 
     REPRO_SCALE=tiny PYTHONPATH=src python scripts/bench.py
 
-``--profile`` additionally attaches cProfile top-N hot functions to
-each outermost phase span (see ``repro.obs.profiling``); ``--live``
-tails the event stream to stderr while the workload runs.
+Every phase span records its wall-clock, CPU seconds and peak RSS.  For
+the hot functions behind a phase, run the script under the standard
+profiler: ``python -m cProfile -s cumtime scripts/bench.py ...``.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from repro import configure_logging  # noqa: E402
 from repro.analysis import WORKLOAD_NAMES, run_bench_workload  # noqa: E402
 from repro.obs import (  # noqa: E402
     HealthEngine,
-    LiveMonitor,
     RunLedger,
     RunRecord,
     diff_trajectory,
     resources,
-    set_profiling,
 )
 from repro.obs.ledger import DEFAULT_LAST_K, DEFAULT_THRESHOLD  # noqa: E402
 
@@ -118,16 +116,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach cProfile top-N hot functions to phase spans",
-    )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="tail the event stream to stderr while running",
-    )
-    parser.add_argument(
         "--health",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -160,20 +148,12 @@ def main(argv: list[str] | None = None) -> int:
     runid = args.runid or datetime.datetime.now(
         datetime.timezone.utc
     ).strftime("%Y%m%dT%H%M%SZ")
-    if args.profile:
-        set_profiling(True)
-
-    monitor = LiveMonitor() if args.live else None
-    if monitor is not None:
-        monitor.attach()
     health = HealthEngine().attach() if args.health else None
     try:
         report = run_bench_workload(
             args.scale, seed=args.seed, workers=args.workers
         )
     finally:
-        if monitor is not None:
-            monitor.detach()
         if health is not None:
             health.detach()
     if health is not None and health.alerts_fired:

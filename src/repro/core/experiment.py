@@ -28,7 +28,7 @@ from ..faults import FaultInjector, FaultPlan
 from ..labeling.manual import ManualChecker
 from ..labeling.pipeline import GroundTruthLabeler, LabeledDataset
 from ..ml.base import Classifier
-from ..obs import LiveMonitor, RunReport, emit, profile
+from ..obs import RunReport, emit, trace
 from ..obs.health import HealthEngine, HealthRule
 from ..obs.ledger import RunLedger, RunRecord, stable_digest
 from ..parallel import executor
@@ -154,7 +154,7 @@ class PseudoHoneypotExperiment:
     def warm_up(self, hours: int = 4) -> None:
         """Run unmonitored hours so trending and timelines populate."""
         log.info("phase warm_up: %d unmonitored hours", hours)
-        with profile("experiment.warm_up", hours=hours):
+        with trace("experiment.warm_up", hours=hours):
             self.engine.run_hours(hours)
 
     def run_plan(
@@ -165,7 +165,7 @@ class PseudoHoneypotExperiment:
         seed_offset: int = 0,
     ) -> NetworkRun:
         """Deploy a plan for ``hours`` monitored hours and collect."""
-        with profile("experiment.run_plan", hours=hours) as span:
+        with trace("experiment.run_plan", hours=hours) as span:
             network = PseudoHoneypotNetwork(
                 self.engine,
                 self.make_selector(seed_offset),
@@ -219,7 +219,7 @@ class PseudoHoneypotExperiment:
         plan = SelectionPlan.random_plan(
             n_targets, per_value, seed=self.config.seed + 17
         )
-        with profile("experiment.collect_ground_truth", hours=hours) as span:
+        with trace("experiment.collect_ground_truth", hours=hours) as span:
             run = self.run_plan(plan, hours, seed_offset=17)
             span.set(
                 captures=run.n_captures,
@@ -245,7 +245,7 @@ class PseudoHoneypotExperiment:
             unlabeled_audit_rate=unlabeled_audit_rate,
             minhash_seed=self.config.seed,
         )
-        with profile("experiment.label_ground_truth") as span:
+        with trace("experiment.label_ground_truth") as span:
             with self._parallel_scope():
                 dataset = labeler.label(
                     [capture.tweet for capture in run.captures]
@@ -271,7 +271,7 @@ class PseudoHoneypotExperiment:
             dataset.n_spams,
         )
         detector = PseudoHoneypotDetector(classifier=classifier)
-        with profile("experiment.train_detector") as span:
+        with trace("experiment.train_detector") as span:
             with self._parallel_scope():
                 detector.fit_from_ground_truth(run.captures, dataset)
             span.set(
@@ -290,7 +290,7 @@ class PseudoHoneypotExperiment:
             hours,
             per_value,
         )
-        with profile("experiment.run_full_network", hours=hours) as span:
+        with trace("experiment.run_full_network", hours=hours) as span:
             run = self.run_plan(
                 SelectionPlan.full_paper_plan(per_value),
                 hours,
@@ -307,7 +307,7 @@ class PseudoHoneypotExperiment:
     ) -> ClassificationOutcome:
         """Phase 5: detector verdicts over a network run's captures."""
         log.info("phase classify: %d captures", run.n_captures)
-        with profile("experiment.classify") as span:
+        with trace("experiment.classify") as span:
             outcome = detector.classify(run.captures)
             span.set(
                 captures=run.n_captures,
@@ -343,7 +343,7 @@ class PseudoHoneypotExperiment:
         comparisons (advanced pseudo-honeypot vs. non pseudo-honeypot,
         Figure 6) free of run-to-run variance in the world itself.
         """
-        with profile(
+        with trace(
             "experiment.run_plans_concurrently",
             hours=hours,
             n_plans=len(plans),
@@ -371,7 +371,7 @@ class PseudoHoneypotExperiment:
             "/".join(networks) or "-",
             hours,
         )
-        with profile("experiment.run_networks", hours=hours) as span:
+        with trace("experiment.run_networks", hours=hours) as span:
             for __ in range(hours):
                 for network in networks.values():
                     network.prepare_hour()
@@ -401,20 +401,6 @@ class PseudoHoneypotExperiment:
         return runs
 
     # -- reporting -------------------------------------------------------
-
-    def live(self, out=None) -> LiveMonitor:
-        """A console monitor tailing this process's event stream.
-
-        Use as a context manager around any phase to watch captures
-        per node-hour, selector fill rates, and label-stage deltas
-        while the run is still in flight:
-
-        .. code-block:: python
-
-            with exp.live():
-                exp.run_full_network(hours=24)
-        """
-        return LiveMonitor(out=out)
 
     def export_report(
         self,

@@ -53,13 +53,12 @@ MUTATOR_ATTRS = frozenset(
 )
 
 
-#: Span-opening callables: ``profile(...)`` is ``trace(...)`` plus CPU
-#: accounting, so every span rule treats the two identically.
-SPAN_OPENERS = frozenset({"trace", "profile"})
+#: Span-opening callables: ``trace(...)`` is the one span call.
+SPAN_OPENERS = frozenset({"trace"})
 
 
 def _is_trace_call(expr: ast.expr) -> bool:
-    """Whether ``expr`` opens a span (``trace(...)``/``profile(...)``)."""
+    """Whether ``expr`` opens a span (``trace(...)``)."""
     if not isinstance(expr, ast.Call):
         return False
     func = expr.func
@@ -108,7 +107,7 @@ class SpanLabelRule(FileRule):
     name = "span-label-taxonomy"
     category = "observability"
     description = (
-        "trace(\"...\")/profile(\"...\") labels must be dotted "
+        "trace(\"...\") labels must be dotted "
         "lower_snake names under one of the documented namespaces; "
         "f-string labels must start with a literal namespace prefix."
     )
@@ -290,11 +289,9 @@ class ArtifactWriteRule(FileRule):
     )
 
     #: Sanctioned artifact writers inside the observability layer:
-    #: RunReport.save, the event JSONL sink, RunLedger.append, and the
-    #: dashboard render.
+    #: RunReport.save, RunLedger.append, and the dashboard render.
     SANCTIONED = (
         ("obs", "report.py"),
-        ("obs", "events.py"),
         ("obs", "ledger.py"),
         ("obs", "dashboard.py"),
     )
@@ -470,8 +467,8 @@ class HealthRuleRule(FileRule):
         "dotted name and a literal severity from "
         "info/warn/critical, and every emitted `alert.*` event must "
         "declare a severity= attribute from the same set — the "
-        "incident log, the dashboard's incidents panel, and the "
-        "LiveMonitor alert lines all key off those two fields."
+        "incident log and the dashboard's incidents panel both key "
+        "off those two fields."
     )
     fix_hint = (
         "Name rules `<namespace>.<condition>` (e.g. "

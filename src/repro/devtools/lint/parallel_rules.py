@@ -708,10 +708,9 @@ class WorkerEventEmissionRule(TaskResolutionMixin, GraphRule):
     description = (
         "emit(...) in code reachable from a pool task bypasses the "
         "obsmerge protocol: obsmerge ships metric values and span "
-        "forests back to the parent, but the worker's EventStream "
-        "ring buffer (and any JsonlSink subscribed in the parent) "
-        "never sees worker-side events — they vanish with the "
-        "process."
+        "forests back to the parent, but the parent's EventStream "
+        "and its subscribers never see worker-side events — they "
+        "vanish with the process."
     )
     fix_hint = (
         "Return the facts to the parent and emit there (the pattern "

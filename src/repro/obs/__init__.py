@@ -6,18 +6,15 @@ zero-dependency instrumentation layer:
 
 * a process-global :class:`~repro.obs.metrics.MetricsRegistry` of
   counters, gauges, and histograms (``get_registry()``);
-* a span :class:`~repro.obs.tracing.Tracer` for nested wall-clock
-  phase timing (``with trace("label.minhash"): ...``);
+* a span :class:`~repro.obs.tracing.Tracer` for nested phase timing
+  (``with trace("label.minhash"): ...``): every span records its
+  wall-clock duration, CPU seconds and peak RSS;
 * :class:`~repro.obs.report.RunReport`, the JSON phase-tree artifact
-  that benchmarks and perf PRs diff against;
+  that benchmarks and perf changes diff against;
 * a structured :class:`~repro.obs.events.EventStream`
-  (``emit("network.switch", churn=31)``) with a bounded ring buffer,
-  synchronous subscribers, and an optional JSONL sink — the *live*
+  (``emit("network.switch", churn=31)``) with a bounded ring buffer
+  and synchronous subscribers (the health engine, tests) — the *live*
   counterpart of the post-hoc report;
-* :func:`~repro.obs.profiling.profile`, a ``trace`` variant that adds
-  CPU time (and, opt-in, cProfile top-N hot functions) to the span;
-* :class:`~repro.obs.live.LiveMonitor`, a console tail of the event
-  stream for in-flight runs;
 * :class:`~repro.obs.ledger.RunLedger` + ``diff_trajectory``, the
   append-only JSONL run trajectory under ``results/ledger/`` with its
   median-of-last-K regression gate — the one perf record, which
@@ -25,7 +22,7 @@ zero-dependency instrumentation layer:
 * :func:`~repro.obs.dashboard.save_dashboard`, the self-contained
   offline HTML view of a ledger + event stream;
 * :func:`~repro.obs.resources.sample`, per-phase peak-RSS/CPU
-  readings (``getrusage``) stamped onto phase spans by ``profile``.
+  readings (``getrusage``) stamped onto every span by ``trace``.
 
 Span taxonomy (dotted, one namespace per layer):
 
@@ -68,7 +65,7 @@ from contextlib import contextmanager
 
 from .alerts import Incident, IncidentLog
 from .dashboard import render_dashboard, save_dashboard
-from .events import Event, EventStream, JsonlSink
+from .events import Event, EventStream
 from .health import (
     HealthContext,
     HealthEngine,
@@ -83,9 +80,7 @@ from .ledger import (
     diff_trajectory,
     stable_digest,
 )
-from .live import LiveMonitor
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profiling import profile, profiling_enabled, set_profiling
 from .report import SUMMARY_HEADERS, RunReport
 from .resources import ResourceSample
 from .tracing import NULL_SPAN, Span, Tracer
@@ -102,8 +97,6 @@ __all__ = [
     "Histogram",
     "Incident",
     "IncidentLog",
-    "JsonlSink",
-    "LiveMonitor",
     "MetricsRegistry",
     "NULL_SPAN",
     "PhaseDelta",
@@ -125,11 +118,8 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "is_enabled",
-    "profile",
-    "profiling_enabled",
     "reset",
     "set_enabled",
-    "set_profiling",
     "trace",
 ]
 

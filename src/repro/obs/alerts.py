@@ -22,7 +22,7 @@ runs fold into byte-identical payloads at any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .events import Event
 
@@ -66,18 +66,6 @@ class Incident:
             "resolved_hour": self.resolved_hour,
             "attributes": dict(sorted(self.attributes.items())),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Incident":
-        """Inverse of :meth:`to_dict` (ledger read-back)."""
-        resolved = data.get("resolved_hour")
-        return cls(
-            rule=str(data.get("rule", "")),
-            severity=str(data.get("severity", "info")),
-            fired_hour=int(data.get("fired_hour", 0)),
-            resolved_hour=None if resolved is None else int(resolved),
-            attributes=dict(data.get("attributes", {})),
-        )
 
 
 class IncidentLog:
@@ -138,24 +126,6 @@ class IncidentLog:
         """Total fired alerts (the ``totals.alerts_fired`` series)."""
         return len(self.incidents)
 
-    @property
-    def open_incidents(self) -> list[Incident]:
-        """Incidents still active, in firing order."""
-        return [i for i in self.incidents if i.open]
-
-    def counts_by_severity(self) -> dict[str, int]:
-        """``{severity: fired count}`` over every known severity."""
-        counts = {severity: 0 for severity in SEVERITIES}
-        for incident in self.incidents:
-            counts[incident.severity] = (
-                counts.get(incident.severity, 0) + 1
-            )
-        return counts
-
-    def for_rule(self, rule: str) -> list[Incident]:
-        """Every incident of one rule, in firing order."""
-        return [i for i in self.incidents if i.rule == rule]
-
     def __len__(self) -> int:
         return len(self.incidents)
 
@@ -164,19 +134,6 @@ class IncidentLog:
     def to_payload(self) -> list[dict[str, object]]:
         """The ledger-ready ``incidents`` list (firing order)."""
         return [incident.to_dict() for incident in self.incidents]
-
-    @classmethod
-    def from_payload(
-        cls, payload: Sequence[dict]
-    ) -> "IncidentLog":
-        """Rebuild a log from a ledger record's ``incidents`` list."""
-        log = cls()
-        for entry in payload:
-            incident = Incident.from_dict(entry)
-            log.incidents.append(incident)
-            if incident.open:
-                log._open[incident.rule] = incident
-        return log
 
 
 __all__ = [

@@ -2,8 +2,8 @@
 
 Adaptive-honeypot deployments steer by a *live view* of garner rates,
 not by post-hoc tables; this module turns the durable half (the
-:class:`~repro.obs.ledger.RunLedger`) and the live half (an event
-JSONL written by :class:`~repro.obs.events.JsonlSink`) into one
+:class:`~repro.obs.ledger.RunLedger`) and the live half (the events of
+the in-process :class:`~repro.obs.events.EventStream`) into one
 self-contained ``results/dashboard.html``:
 
 * **metric trajectories** — inline-SVG sparklines per ledger series

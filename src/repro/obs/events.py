@@ -21,10 +21,8 @@ Events flow through the process-global :class:`EventStream`:
 
 * a **bounded ring buffer** (``collections.deque(maxlen=...)``) keeps
   the most recent events queryable without unbounded growth;
-* **subscribers** (the live console monitor, tests) see every event
-  synchronously as it is emitted;
-* an optional **JSONL sink** persists one JSON object per line for
-  offline tailing (``tail -f run.events.jsonl``).
+* **subscribers** (the health engine, tests) see every event
+  synchronously as it is emitted.
 
 Like the metrics registry, the stream is *disableable*: while the
 owning registry is disabled, ``emit()`` is one attribute check and an
@@ -34,12 +32,10 @@ the <2% overhead envelope.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import Callable, Iterator
 
 from .metrics import MetricsRegistry
 
@@ -71,81 +67,9 @@ class Event:
             "attributes": dict(self.attributes),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Event":
-        """Inverse of :meth:`to_dict`.
-
-        Raises:
-            KeyError: on a dict missing ``name`` or ``seq``.
-        """
-        return cls(
-            seq=int(data["seq"]),
-            name=data["name"],
-            t=float(data.get("t", 0.0)),
-            attributes=dict(data.get("attributes", {})),
-        )
-
 
 #: A subscriber sees every event synchronously at emit time.
 EventCallback = Callable[[Event], None]
-
-
-class JsonlSink:
-    """A subscriber that appends one JSON line per event to a file.
-
-    Close it (or use it as a context manager) to flush and release the
-    handle; the file is line-buffered in between so ``tail -f`` works
-    while the run is still going.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh: IO[str] | None = self.path.open(
-            "w", encoding="utf-8", buffering=1
-        )
-
-    def __call__(self, event: Event) -> None:
-        if self._fh is not None:
-            self._fh.write(
-                json.dumps(event.to_dict(), sort_keys=True) + "\n"
-            )
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def read_jsonl(path: str | Path, strict: bool = True) -> list[Event]:
-    """Load every event previously written by a :class:`JsonlSink`.
-
-    Args:
-        path: the event JSONL file.
-        strict: with ``False``, a malformed or truncated line (the
-            normal tail of a file whose writer crashed mid-append) is
-            skipped instead of raising — the mode dashboard renders
-            use, since a live sink may still be mid-line.
-    """
-    events = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(Event.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError):
-                if strict:
-                    raise
-    return events
 
 
 class EventStream:

@@ -196,12 +196,6 @@ class HealthContext:
 
     # -- garner snapshots --------------------------------------------------
 
-    @property
-    def latest_snapshot(self) -> Mapping[str, object] | None:
-        """The newest live ``pge.snapshot`` digest, if any."""
-        snapshots = self._engine.snapshots
-        return snapshots[-1] if snapshots else None
-
     def snapshots(
         self, window: int | None = None
     ) -> Sequence[Mapping[str, object]]:
@@ -252,8 +246,7 @@ class HealthEngine:
     """Evaluates :class:`HealthRule`\\ s on each completed sim-hour.
 
     Subscribe it to the global stream around a run (context manager or
-    ``attach()``/``detach()``, same protocol as
-    :class:`~repro.obs.live.LiveMonitor`)::
+    ``attach()``/``detach()``)::
 
         with HealthEngine() as health:
             exp.run_full_network(hours=24)

@@ -385,36 +385,6 @@ class RunLedger:
             return records
         return [record for record in records if record.kind == kind]
 
-    def last_k(
-        self, k: int = DEFAULT_LAST_K, kind: str | None = None
-    ) -> list[RunRecord]:
-        """The newest ``k`` records (file order = append order).
-
-        Raises:
-            ValueError: on a non-positive ``k``.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        records = self.trajectory(kind)
-        return records[-k:]
-
-    def series(
-        self, key: str, records: Sequence[RunRecord] | None = None
-    ) -> list[tuple[str, float]]:
-        """Per-run ``(runid, value)`` points for one dotted key.
-
-        Records without the key are skipped, so a metric introduced
-        mid-history yields a shorter (but still ordered) series.
-        """
-        points = []
-        for record in self.load() if records is None else records:
-            value = record.value(key)
-            if isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            ):
-                points.append((record.runid, float(value)))
-        return points
-
 
 @dataclass(frozen=True)
 class PhaseDelta:

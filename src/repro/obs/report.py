@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .metrics import MetricsRegistry
-from .tracing import Span, Tracer
+from .tracing import TIMING_ATTRS, Span, Tracer
 
 #: Column order of :meth:`RunReport.summary_rows`.
 SUMMARY_HEADERS = (
@@ -40,11 +40,6 @@ SUMMARY_HEADERS = (
     "Node-hours",
     "Captures/node-hour",
 )
-
-#: Span attributes carrying timing/resource data (stripped by
-#: ``normalized()`` along with ``started_at``/``duration_s`` —
-#: everything a re-run of the same seed cannot reproduce bit-for-bit).
-TIMING_ATTRS = frozenset({"cpu_s", "profile_top", "max_rss_kb"})
 
 #: Metadata keys that vary per invocation rather than per seed.
 TIMING_META = frozenset({"runid", "created_at"})
@@ -126,8 +121,8 @@ class RunReport:
     def normalized(self) -> "RunReport":
         """A deep copy with every nondeterministic timing stripped.
 
-        Wall-clock offsets/durations are zeroed, timing- and
-        resource-valued span attributes (``cpu_s``, ``profile_top``,
+        Wall-clock offsets/durations are zeroed, the span attributes
+        every span is stamped with (``TIMING_ATTRS``: ``cpu_s`` and
         ``max_rss_kb``) are removed, and ``*_seconds`` histograms plus
         cache-efficiency metrics (a ``cache`` name segment, e.g.
         ``features.profile_cache.hits``) are dropped from the metrics

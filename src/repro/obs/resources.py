@@ -1,17 +1,15 @@
 """Per-phase process-resource sampling (``resource.getrusage``).
 
-PR 3's ``profile(...)`` records how long each phase ran and how much
-CPU it burned; the run ledger also wants to know how *big* each phase
-was — the ROADMAP's million-account engine (item 1) will live or die
-on peak RSS, so the trajectory has to start recording it now.  This
-module is the zero-dependency sampler behind that:
+Spans record how long each phase ran and how much CPU it burned; the
+run ledger also wants to know how *big* each phase was — a
+million-account world lives or dies on peak RSS.  This module is the
+zero-dependency sampler behind that:
 
 * :func:`sample` returns one :class:`ResourceSample` — peak RSS in
   KiB plus cumulative user/system CPU seconds — normalized across
   platforms (Linux reports ``ru_maxrss`` in KiB, macOS in bytes);
-* :func:`profile` (in ``repro.obs.profiling``) stamps
-  ``max_rss_kb`` onto every phase span at exit, exactly like
-  ``cpu_s``;
+* ``trace(...)`` stamps ``max_rss_kb`` onto every span at exit, next
+  to ``cpu_s``;
 * ``RunReport.normalized()`` strips the attribute with the other
   timing data, so deterministic artifacts stay byte-stable, while
   raw reports — and the :class:`~repro.obs.ledger.RunRecord`\\ s
@@ -31,10 +29,6 @@ try:  # pragma: no cover - resource is POSIX-only
     import resource as _resource
 except ImportError:  # pragma: no cover
     _resource = None  # type: ignore[assignment]
-
-#: Span attribute names written by the resource sampler (stripped by
-#: ``RunReport.normalized()`` alongside the wall-clock fields).
-RESOURCE_ATTRS = ("max_rss_kb",)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,11 @@ yields a shared no-op span and records nothing.
 
 Durations come from ``time.perf_counter()``; ``started_at`` is the
 offset from the tracer's own epoch, so a report's spans are mutually
-comparable without depending on wall-clock time.
+comparable without depending on wall-clock time.  Every recorded span
+also carries ``cpu_s`` (process CPU seconds the block consumed) and
+``max_rss_kb`` (the process RSS high-water mark at exit, where
+``getrusage`` exists): the run ledger keeps both per phase, and
+``RunReport.normalized()`` strips them with the wall-clock fields.
 """
 
 from __future__ import annotations
@@ -26,6 +30,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from . import resources
+
+#: Span attributes that a re-run of the same seed cannot reproduce
+#: bit for bit: ``trace`` stamps them on every span, and
+#: ``RunReport.normalized()`` strips them.
+TIMING_ATTRS = frozenset({"cpu_s", "max_rss_kb"})
 
 
 @dataclass
@@ -121,13 +132,16 @@ class Tracer:
     def trace(self, name: str, **attributes: object):
         """Open a span named ``name`` for the duration of the block.
 
-        The span is recorded (and timed) even if the block raises, with
-        an ``error`` attribute naming the exception type.
+        On exit the span carries its wall-clock ``duration_s`` and the
+        :data:`TIMING_ATTRS`.  It is recorded (and timed) even if the
+        block raises, with an ``error`` attribute naming the exception
+        type.
         """
         if not self._registry.enabled:
             yield NULL_SPAN
             return
         t0 = time.perf_counter()
+        cpu0 = time.process_time()
         span = Span(name=name, started_at=t0 - self._epoch)
         if self._stack:
             self._stack[-1].children.append(span)
@@ -143,6 +157,9 @@ class Tracer:
             raise
         finally:
             span.duration_s = time.perf_counter() - t0
+            span.set(cpu_s=round(time.process_time() - cpu0, 6))
+            if resources.available():
+                span.set(max_rss_kb=resources.sample().max_rss_kb)
             self._stack.pop()
 
     def find(self, name: str) -> list[Span]:

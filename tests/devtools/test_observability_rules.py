@@ -111,20 +111,22 @@ class TestArtifactWrites:
     def test_bench_module_is_no_longer_a_sanctioned_writer(
         self, tmp_path
     ):
-        # Only the named obs serializers are exempt: a bench module
-        # gets flagged like any library code, the ledger writer not.
+        # Only the named obs serializers are exempt: a bench module or
+        # the event stream gets flagged like any library code, the
+        # ledger writer not.
         source = (
             "from pathlib import Path\n"
             "\n"
             "def save(path):\n"
             "    Path(path).write_text('{}')\n"
         )
-        for name in ("bench.py", "ledger.py"):
+        for name in ("bench.py", "events.py", "ledger.py"):
             module = tmp_path / "repro" / "obs" / name
             module.parent.mkdir(parents=True, exist_ok=True)
             module.write_text(source)
         findings, _ = run_lint([tmp_path / "repro"], root=tmp_path)
         assert rule_lines(findings, "RPL205", "bench.py") == [4]
+        assert rule_lines(findings, "RPL205", "events.py") == [4]
         assert rule_lines(findings, "RPL205", "ledger.py") == []
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.obs import RunReport, profile
+from repro.obs import RunReport, trace
 from repro.obs.ledger import (
     MIN_COMPARABLE_SECONDS,
     RunLedger,
@@ -30,11 +30,11 @@ def clean_obs():
 
 def synthetic_report(**meta) -> RunReport:
     """A report with a couple of experiment phases of real duration."""
-    with profile("experiment.fake_collect", hours=2):
-        with profile("experiment.fake_plan"):
+    with trace("experiment.fake_collect", hours=2):
+        with trace("experiment.fake_plan"):
             sum(i * i for i in range(5_000))
         obs.get_registry().counter("network.captures").inc(7)
-    with profile("experiment.fake_classify"):
+    with trace("experiment.fake_classify"):
         pass
     return RunReport.capture(**meta)
 
@@ -67,7 +67,7 @@ def fake_workload(delay_s: float, phase: str = "experiment.fake_phase"):
     def run(scale_name="tiny", seed=7, **meta):
         obs.reset()
         obs.set_enabled(True)
-        with profile(phase):
+        with trace(phase):
             time.sleep(delay_s)
         obs.get_registry().counter("network.captures").inc(3)
         report = RunReport.capture(config_digest="c0ffee", seed=seed)

@@ -1,9 +1,9 @@
-"""Event stream semantics: ring buffer, sinks, disabled no-op."""
+"""Event stream semantics: ring buffer, subscribers, disabled no-op."""
 
 import pytest
 
 from repro import obs
-from repro.obs.events import EventStream, JsonlSink, read_jsonl
+from repro.obs.events import EventStream
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -90,37 +90,6 @@ class TestSubscribers:
         event = stream.emit("ml.cv_fold", fold=1)
         assert event.seq == 0
         assert len(seen) == 2
-
-
-class TestJsonlSink:
-    def test_round_trip(self, stream, tmp_path):
-        path = tmp_path / "run.events.jsonl"
-        with JsonlSink(path) as sink:
-            stream.subscribe(sink)
-            stream.emit("network.deploy", nodes_selected=40)
-            stream.emit(
-                "engine.hour_completed", hour=1, tweets=120
-            )
-            stream.unsubscribe(sink)
-        loaded = read_jsonl(path)
-        assert [e.name for e in loaded] == [
-            "network.deploy",
-            "engine.hour_completed",
-        ]
-        assert loaded[0].attributes == {"nodes_selected": 40}
-        assert loaded[1].seq == 1
-        assert loaded[1].t >= loaded[0].t
-
-    def test_close_is_idempotent_and_stops_writes(
-        self, stream, tmp_path
-    ):
-        sink = JsonlSink(tmp_path / "run.jsonl")
-        stream.subscribe(sink)
-        stream.emit("network.deploy", hour=0)
-        sink.close()
-        sink.close()
-        stream.emit("network.switch", hour=1)  # after close: dropped
-        assert len(read_jsonl(sink.path)) == 1
 
 
 class TestGlobalStream:

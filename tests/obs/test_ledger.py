@@ -252,25 +252,6 @@ class TestRunLedger:
         ] == ["b1", "b2"]
         assert len(ledger.trajectory()) == 3
 
-    def test_last_k_returns_newest(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        for i in range(6):
-            ledger.append(record(f"r{i}", wall=float(i + 1)))
-        assert [rec.runid for rec in ledger.last_k(2)] == ["r4", "r5"]
-        with pytest.raises(ValueError):
-            ledger.last_k(0)
-
-    def test_series_skips_records_without_the_key(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        ledger.append(record("r1", wall=1.0))
-        bare = RunRecord(runid="bare")
-        ledger.append(bare)
-        ledger.append(record("r2", wall=3.0))
-        assert ledger.series("totals.wall_s") == [
-            ("r1", 2.0),
-            ("r2", 6.0),
-        ]
-
 
 class TestDiffTrajectory:
     def test_gates_against_the_median(self):

@@ -7,7 +7,7 @@ import pytest
 import repro.obs as obs
 from repro.obs import RunReport, SUMMARY_HEADERS
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import TIMING_ATTRS, Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -141,8 +141,10 @@ class TestNormalized:
         (span,) = normalized.find("experiment.run_plan")
         assert span.started_at == 0.0
         assert span.duration_s == 0.0
-        assert span.attributes["captures"] == 7
+        # The CPU and peak-RSS stamps go; the counts stay.
+        assert span.attributes == {"captures": 7, "node_hours": 14}
         assert span.children[0].duration_s == 0.0
+        assert span.children[0].attributes == {}
         assert "engine.hour_seconds" not in normalized.metrics[
             "histograms"
         ]
@@ -150,4 +152,6 @@ class TestNormalized:
         assert normalized.meta == {"scale": "test"}
         # The original is untouched (deep copy).
         assert report.meta["created_at"]
+        (raw,) = report.find("experiment.run_plan")
+        assert TIMING_ATTRS <= set(raw.attributes)
         assert "engine.hour_seconds" in report.metrics["histograms"]

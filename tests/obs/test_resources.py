@@ -1,7 +1,8 @@
 """Resource sampling: getrusage-backed, graceful when unavailable."""
 
 from repro.obs import ResourceSample
-from repro.obs.resources import RESOURCE_ATTRS, available, sample
+from repro.obs.resources import available, sample
+from repro.obs.tracing import TIMING_ATTRS
 
 
 class TestResourceSample:
@@ -32,11 +33,11 @@ class TestResourceSample:
         del blob
 
     def test_attrs_cover_the_span_contract(self):
-        # Spans stamp exactly these keys; report normalization strips
-        # them by the same names.
-        assert RESOURCE_ATTRS == ("max_rss_kb",)
+        # Spans stamp the sample's fields under the same names that
+        # report normalization strips.
+        assert TIMING_ATTRS == {"cpu_s", "max_rss_kb"}
         snap = ResourceSample(
             max_rss_kb=100, user_cpu_s=1.0, system_cpu_s=0.5
         )
-        for attr in RESOURCE_ATTRS:
+        for attr in TIMING_ATTRS:
             assert hasattr(snap, attr)

@@ -6,7 +6,7 @@ import pytest
 
 import repro.obs as obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_SPAN, Span, Tracer
+from repro.obs.tracing import NULL_SPAN, TIMING_ATTRS, Span, Tracer
 
 
 @pytest.fixture
@@ -48,7 +48,23 @@ class TestTracer:
     def test_attributes_via_set_and_kwargs(self, tracer):
         with tracer.trace("phase", hours=3) as span:
             span.set(captures=42)
-        assert tracer.roots[0].attributes == {"hours": 3, "captures": 42}
+        attributes = tracer.roots[0].attributes
+        assert set(attributes) == {"hours", "captures", *TIMING_ATTRS}
+        assert (attributes["hours"], attributes["captures"]) == (3, 42)
+
+    def test_every_span_records_cpu_and_peak_rss(self, tracer):
+        with tracer.trace("outer"):
+            with tracer.trace("inner"):
+                sum(i * i for i in range(20_000))
+        outer = tracer.roots[0]
+        inner = outer.children[0]
+        for span in (outer, inner):
+            assert TIMING_ATTRS <= set(span.attributes)
+            # Any Python process has tens of MB resident; a zero here
+            # means the KiB normalization broke.
+            assert span.attributes["max_rss_kb"] > 1024
+        assert inner.attributes["cpu_s"] > 0.0
+        assert outer.attributes["cpu_s"] >= inner.attributes["cpu_s"]
 
     def test_exception_recorded_and_span_closed(self, tracer):
         with pytest.raises(RuntimeError):
