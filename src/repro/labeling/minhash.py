@@ -57,8 +57,8 @@ def stable_hash64(text: str) -> int:
 class MinHasher:
     """k-function MinHash signatures over character tri-grams.
 
-    :meth:`signatures` is the batch kernel; :meth:`signature` is a
-    one-text call of it.  The k hash values of every distinct shingle
+    :meth:`signatures` is the batch kernel and the one way to sign
+    texts.  The k hash values of every distinct shingle
     are kept in a bounded per-hasher table (tri-grams draw from a small
     alphabet: labeling the train benchmark's ~9.7k tweets meets about
     1.2k distinct shingles among ~0.7M occurrences).  The table is a
@@ -163,16 +163,6 @@ class MinHasher:
                 texts[start : start + _CHUNK]
             )
         ]
-
-    def signature(self, text: str) -> tuple[int, ...]:
-        """MinHash signature of one text."""
-        return self.signatures([text])[0]
-
-    def similarity(self, text_a: str, text_b: str) -> float:
-        """Estimated Jaccard similarity: fraction of agreeing minima."""
-        sig_a, sig_b = self.signatures([text_a, text_b])
-        agree = sum(a == b for a, b in zip(sig_a, sig_b))
-        return agree / self.n_hashes
 
 
 def group_signatures(
