@@ -34,7 +34,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .report import RunReport
 

@@ -1,7 +1,6 @@
 """The bench perf record: from_report capture, the diff gate, the CLI."""
 
 import importlib.util
-import json
 import math
 import time
 from pathlib import Path
