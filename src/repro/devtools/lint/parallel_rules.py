@@ -707,10 +707,11 @@ class WorkerEventEmissionRule(TaskResolutionMixin, GraphRule):
     category = "parallel_safety"
     description = (
         "emit(...) in code reachable from a pool task bypasses the "
-        "obsmerge protocol: obsmerge ships metric values and span "
-        "forests back to the parent, but the parent's EventStream "
-        "and its subscribers never see worker-side events — they "
-        "vanish with the process."
+        "obsmerge protocol: obsmerge ships metric values, span "
+        "forests and health-engine alert events back to the parent, "
+        "but any other event a worker emits never reaches the "
+        "parent's EventStream or its subscribers — it vanishes with "
+        "the process."
     )
     fix_hint = (
         "Return the facts to the parent and emit there (the pattern "
