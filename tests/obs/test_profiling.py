@@ -1,19 +1,17 @@
-"""profile(): CPU accounting and opt-in cProfile hot functions."""
+"""CPU accounting on phase spans, read back through the run report."""
 
 import pytest
 
 from repro import obs
-from repro.obs import RunReport, profile, set_profiling
-from repro.obs.profiling import PROFILE_ATTRS, profiling_enabled
+from repro.obs import RunReport
+from repro.obs.tracing import TIMING_ATTRS
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
     obs.reset()
     obs.set_enabled(True)
-    set_profiling(False)
     yield
-    set_profiling(False)
     obs.reset()
 
 
@@ -23,74 +21,20 @@ def burn(n: int = 20_000) -> int:
 
 class TestCpuAccounting:
     def test_profile_records_cpu_next_to_wall(self):
-        with profile("experiment.fake_phase", hours=1):
+        with obs.trace("experiment.fake_phase", hours=1):
             burn()
         report = RunReport.capture()
         (span,) = report.find("experiment.fake_phase")
+        assert set(span.attributes) == {"hours", *TIMING_ATTRS}
         assert span.attributes["hours"] == 1
         assert span.attributes["cpu_s"] >= 0.0
         assert span.duration_s >= 0.0
-        assert "profile_top" not in span.attributes
 
     def test_profile_nests_like_trace(self):
-        with profile("experiment.outer"):
-            with profile("experiment.inner"):
+        with obs.trace("experiment.outer"):
+            with obs.trace("experiment.inner"):
                 burn()
         report = RunReport.capture()
         (outer,) = report.find("experiment.outer")
         assert [c.name for c in outer.children] == ["experiment.inner"]
         assert "cpu_s" in outer.children[0].attributes
-
-    def test_disabled_obs_records_nothing(self):
-        obs.set_enabled(False)
-        with profile("experiment.fake_phase") as span:
-            burn(100)
-        assert span.attributes == {}
-        obs.set_enabled(True)
-        assert RunReport.capture().find("experiment.fake_phase") == []
-
-
-class TestDeepProfiling:
-    def test_opt_in_attaches_hot_functions(self):
-        set_profiling(True, top_n=5)
-        assert profiling_enabled()
-        with profile("experiment.fake_phase"):
-            burn()
-        (span,) = RunReport.capture().find("experiment.fake_phase")
-        top = span.attributes["profile_top"]
-        assert 0 < len(top) <= 5
-        assert set(top[0]) == {
-            "function",
-            "calls",
-            "tottime_s",
-            "cumtime_s",
-        }
-
-    def test_nested_phases_profile_only_the_outermost(self):
-        set_profiling(True)
-        with profile("experiment.outer"):
-            with profile("experiment.inner"):
-                burn()
-        report = RunReport.capture()
-        (outer,) = report.find("experiment.outer")
-        (inner,) = report.find("experiment.inner")
-        assert "profile_top" in outer.attributes
-        assert "profile_top" not in inner.attributes
-        assert "cpu_s" in inner.attributes
-
-    def test_top_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            set_profiling(True, top_n=0)
-
-
-class TestNormalization:
-    def test_normalized_report_strips_profiling_attrs(self):
-        set_profiling(True)
-        with profile("experiment.fake_phase", hours=2):
-            burn()
-        normalized = RunReport.capture().normalized()
-        (span,) = normalized.find("experiment.fake_phase")
-        for attr in PROFILE_ATTRS:
-            assert attr not in span.attributes
-        assert span.attributes["hours"] == 2
-        assert span.duration_s == 0.0
