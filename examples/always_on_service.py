@@ -3,9 +3,9 @@
 The batch pipeline classifies a capture set after the fact; the
 service scores it *while monitoring*: every hour's captures flow
 through a bounded ingestion queue on a virtual-clock scheduler, are
-featurized incrementally against the LRU profile cache, and are scored
-in batches through the compiled forest — with the health watchdog
-listening for queue saturation and cache collapse the whole time.
+featurized incrementally, and are scored in batches through the
+compiled forest — with the health watchdog listening for queue
+saturation the whole time.
 
 1. train the detector exactly as the batch pipeline does;
 2. deploy a fresh pseudo-honeypot network;
@@ -74,12 +74,6 @@ def main() -> None:
     )
     assert stats.ingested == stats.scored + stats.dropped
     assert stats.in_flight == 0
-    cache_total = stats.cache_hits + stats.cache_misses
-    if cache_total:
-        print(
-            f"profile cache: {stats.cache_hits}/{cache_total} hits "
-            f"({100 * stats.cache_hits / cache_total:.0f}%)"
-        )
     if health.alerts_fired:
         fired = sorted(i.rule for i in health.incidents.incidents)
         print(f"alerts fired: {', '.join(fired)}")

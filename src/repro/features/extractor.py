@@ -2,24 +2,26 @@
 
 ``FeatureExtractor`` is stateful: behavioral features are running
 statistics over the captured stream, the "is repeated" content feature
-needs a dedup memory, receiver-profile features need a profile cache,
-and the environment score needs the per-attribute group-likelihood
-tracker.  Feed it captured tweets in timestamp order; each call
-extracts the feature vector *from the past only* and then folds the
-tweet into the state (no self-leakage).  The capture-row loop that
-drives it, and feeds confirmed spams back into the environment
-tracker, is :func:`repro.core.detector.extract_rows`, so this package
-never sees a capture.
+needs a dedup memory, the receiver-profile block reads the receiver's
+last profile snapshot seen in the stream, and the environment score
+needs the per-attribute group-likelihood tracker.  Feed it captured
+tweets in timestamp order; each call extracts the feature vector *from
+the past only* and then folds the tweet into the state (no
+self-leakage).  The extractor keeps no memo: every call computes its
+profile blocks, dedup form and character counts directly (only
+:func:`~repro.features.profile.profile_features` memoizes description
+character counts).  The capture-row loop that drives it, passing each capture's crossed node ids and feeding confirmed
+spams back into the environment tracker, is
+:func:`repro.core.detector.extract_rows`, so this package never sees a
+capture.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..obs import get_registry
 from ..twittersim.entities import Tweet, UserProfile
 from .behavior import BehaviorTracker
-from .cache import LRUCache
 from .content import (
     _KIND_CODE,
     _SOURCE_CODE,
@@ -27,96 +29,56 @@ from .content import (
 )
 from .textstats import count_digits, count_emoji
 from .environment import EnvironmentScoreTracker
-from .profile import (
-    empty_profile_features,
-    profile_features,
-    refresh_age_slots,
-)
+from .profile import empty_profile_features, profile_features
 from .schema import N_FEATURES
 
 #: Sentinel for "not a reaction to any post" in the mention-time slot.
 NO_MENTION_TIME = -1.0
+
+#: How long a normalized text stays "seen" for the is-repeated feature:
+#: the paper's 1-day window for content duplication checks.
+DEDUP_WINDOW_S = 86_400.0
 
 
 class FeatureExtractor:
     """Extracts the paper's 58 features from a captured tweet stream.
 
     Args:
-        honeypot_ids: ids of current pseudo-honeypot nodes; a tweet's
-            *receiver* is its first mentioned honeypot node, falling
-            back to its first mention (footnote 2 of the paper).
         environment: shared group-likelihood tracker; a fresh one is
             created if omitted.
-        dedup_window_s: how long a normalized text stays "seen" for the
-            is-repeated feature (paper uses a 1-day window for content
-            duplication checks).
-        profile_cache_cap: LRU entry cap for the profile-feature memo
-            (None = :attr:`PROFILE_CACHE_CAP`); the service layer
-            shrinks it in cache-thrash tests.
     """
 
     def __init__(
-        self,
-        honeypot_ids: set[int] | None = None,
-        environment: EnvironmentScoreTracker | None = None,
-        dedup_window_s: float = 86_400.0,
-        profile_cache_cap: int | None = None,
+        self, environment: EnvironmentScoreTracker | None = None
     ) -> None:
-        self.honeypot_ids = honeypot_ids or set()
         self.environment = environment or EnvironmentScoreTracker()
-        self.dedup_window_s = dedup_window_s
         self.behavior = BehaviorTracker()
         self._profiles: dict[int, UserProfile] = {}
         self._text_last_seen: dict[str, float] = {}
         self._dedup_prune_at = 0.0
-        # Profile-feature memo: 12 of the 16 slots are pure functions
-        # of the (frozen, hashable) profile snapshot; the 4 age slots
-        # are refreshed per extraction, keeping hits bitwise-identical
-        # to a full recompute.  Snapshots repeat heavily — a receiver's
-        # cached profile serves every mention until it posts again.
-        # LRU eviction (vs the old clear-on-full dict) keeps the hot
-        # working set resident under long always-on streams; eviction
-        # policy can never change a feature value, only hit rates.
-        self._pf_cache = LRUCache(
-            profile_cache_cap
-            if profile_cache_cap is not None
-            else self.PROFILE_CACHE_CAP
-        )
-        # Text-derived values (normalized dedup form, emoji/digit
-        # counts) are pure functions of the text, and campaign blasts
-        # repeat texts heavily — memoize per distinct string.
-        self._text_stats = LRUCache(self.TEXT_STATS_CAP)
-        registry = get_registry()
-        self._m_pf_hits = registry.counter("features.profile_cache.hits")
-        self._m_pf_misses = registry.counter("features.profile_cache.misses")
 
-    #: Entry cap for the per-extractor profile-feature memo.
-    PROFILE_CACHE_CAP = 50_000
+    @staticmethod
+    def receiver_of(
+        tweet: Tweet, node_user_ids: tuple[int, ...] = ()
+    ) -> int | None:
+        """The receiver account id of a tweet, if any.
 
-    #: Entry cap for the per-text statistics memo.
-    TEXT_STATS_CAP = 200_000
-
-    # ------------------------------------------------------------------
-
-    def register_profile(self, profile: UserProfile) -> None:
-        """Seed the receiver-profile cache (e.g. with honeypot nodes)."""
-        self._profiles[profile.user_id] = profile
-
-    def set_honeypot_ids(self, honeypot_ids: set[int]) -> None:
-        """Update current honeypot node ids (hourly switching)."""
-        self.honeypot_ids = honeypot_ids
-
-    def receiver_of(self, tweet: Tweet) -> int | None:
-        """The receiver account id of a tweet, if any."""
+        The receiver is the first mentioned pseudo-honeypot node among
+        ``node_user_ids`` (the nodes the capture crossed), falling back
+        to the first mention (footnote 2 of the paper).
+        """
         for mention in tweet.mentions:
-            if mention.user_id in self.honeypot_ids:
+            if mention.user_id in node_user_ids:
                 return mention.user_id
         return tweet.mentions[0].user_id if tweet.mentions else None
 
     # ------------------------------------------------------------------
 
     def extract(
-        self, tweet: Tweet, attributes: tuple[str, ...] = ()
+        self,
+        tweet: Tweet,
+        attributes: tuple[str, ...] = (),
+        node_user_ids: tuple[int, ...] = (),
     ) -> np.ndarray:
         """Feature vector of one captured tweet, then update state.
 
@@ -124,6 +86,8 @@ class FeatureExtractor:
             tweet: the captured tweet.
             attributes: selection-attribute labels of the capturing
                 pseudo-honeypot node (drives the environment score).
+            node_user_ids: user ids of the pseudo-honeypot nodes the
+                capture crossed (pick the receiver, :meth:`receiver_of`).
 
         Returns:
             float64 vector of length 58 in schema order.
@@ -131,25 +95,15 @@ class FeatureExtractor:
         now = tweet.created_at
         sender = tweet.user
 
-        receiver_id = self.receiver_of(tweet)
+        receiver_id = self.receiver_of(tweet, node_user_ids)
         receiver_profile = (
             self._profiles.get(receiver_id) if receiver_id is not None else None
         )
 
         text = tweet.text
-        stats = self._text_stats.get(text)
-        if stats is None:
-            stats = (
-                normalize_text_for_dedup(text),
-                count_emoji(text),
-                count_digits(text),
-            )
-            self._text_stats.put(text, stats)
-        normalized, n_emoji, n_digits = stats
+        normalized = normalize_text_for_dedup(text)
         last_seen = self._text_last_seen.get(normalized)
-        repeated = (
-            last_seen is not None and now - last_seen <= self.dedup_window_s
-        )
+        repeated = last_seen is not None and now - last_seen <= DEDUP_WINDOW_S
 
         sender_activity = self.behavior.activity(sender.user_id)
         receiver_activity = (
@@ -166,9 +120,9 @@ class FeatureExtractor:
         )
 
         vector = np.empty(N_FEATURES)
-        vector[0:16] = self._profile_features_cached(sender, now)
+        vector[0:16] = profile_features(sender, now)
         vector[16:32] = (
-            self._profile_features_cached(receiver_profile, now)
+            profile_features(receiver_profile, now)
             if receiver_profile is not None
             else empty_profile_features()
         )
@@ -178,8 +132,8 @@ class FeatureExtractor:
         vector[35] = len(tweet.hashtags)
         vector[36] = len(tweet.mentions)
         vector[37] = len(text)
-        vector[38] = n_emoji
-        vector[39] = n_digits
+        vector[38] = count_emoji(text)
+        vector[39] = count_digits(text)
         vector[40] = float(reciprocity)
         # Kind and source fractions (slots 41-54) divide the running
         # counts straight into the row; a user with no history reads
@@ -224,29 +178,6 @@ class FeatureExtractor:
         self._update(tweet, normalized, attributes)
         return vector
 
-    @property
-    def profile_cache_hits(self) -> int:
-        """Profile-feature memo hits since construction."""
-        return self._pf_cache.hits
-
-    @property
-    def profile_cache_misses(self) -> int:
-        """Profile-feature memo misses since construction."""
-        return self._pf_cache.misses
-
-    def _profile_features_cached(
-        self, profile: UserProfile, now: float
-    ) -> np.ndarray:
-        """Per-account profile features with the age slots refreshed."""
-        base = self._pf_cache.get(profile)
-        if base is None:
-            self._m_pf_misses.inc()
-            fresh = profile_features(profile, now)
-            self._pf_cache.put(profile, fresh)
-            return fresh
-        self._m_pf_hits.inc()
-        return refresh_age_slots(base, profile, now)
-
     # ------------------------------------------------------------------
 
     def _update(
@@ -260,10 +191,10 @@ class FeatureExtractor:
             self._prune_dedup(tweet.created_at)
 
     def _prune_dedup(self, now: float) -> None:
-        horizon = now - self.dedup_window_s
+        horizon = now - DEDUP_WINDOW_S
         self._text_last_seen = {
             text: ts
             for text, ts in self._text_last_seen.items()
             if ts >= horizon
         }
-        self._dedup_prune_at = now + self.dedup_window_s / 4
+        self._dedup_prune_at = now + DEDUP_WINDOW_S / 4

@@ -16,10 +16,6 @@ from .textstats import count_digits, count_emoji
 
 N_PROFILE_FEATURES = 16
 
-#: Feature slots that depend on ``now`` (age and the per-day averages);
-#: every other slot is a pure function of the profile fields.
-AGE_DEPENDENT_SLOTS = (2, 4, 6, 7)
-
 #: Character-class statistics are pure functions of the description
 #: string, and descriptions repeat massively (one per account, embedded
 #: in every tweet snapshot), so they memoize collision-free on the
@@ -62,23 +58,6 @@ def profile_features(profile: UserProfile, now: float) -> np.ndarray:
             float(n_digits),
         ]
     )
-
-
-def refresh_age_slots(
-    vector: np.ndarray, profile: UserProfile, now: float
-) -> np.ndarray:
-    """Rewrite the ``now``-dependent slots of a cached feature vector.
-
-    The expressions mirror :func:`profile_features` exactly, so a
-    cached vector with refreshed age slots is bitwise-equal to a fresh
-    extraction.
-    """
-    age = profile.age_days(now)
-    vector[2] = age
-    vector[4] = profile.statuses_count / age
-    vector[6] = profile.listed_count / age
-    vector[7] = profile.favourites_count / age
-    return vector
 
 
 def empty_profile_features() -> np.ndarray:

@@ -123,13 +123,10 @@ class RunReport:
 
         Wall-clock offsets/durations are zeroed, the span attributes
         every span is stamped with (``TIMING_ATTRS``: ``cpu_s`` and
-        ``max_rss_kb``) are removed, and ``*_seconds`` histograms plus
-        cache-efficiency metrics (a ``cache`` name segment, e.g.
-        ``features.profile_cache.hits``) are dropped from the metrics
-        snapshot (cache hit/miss counts describe the implementation,
-        not the simulated behavior, and churn with cache tuning).
-        Two runs of the same seed then serialize to *identical* JSON,
-        so checked-in smoke artifacts stop churning on re-runs.
+        ``max_rss_kb``) are removed, and ``*_seconds`` histograms are
+        dropped from the metrics snapshot.  Two runs of the same seed
+        then serialize to *identical* JSON, so checked-in smoke
+        artifacts stop churning on re-runs.
         """
 
         def scrub(span: Span) -> Span:
@@ -150,8 +147,6 @@ class RunReport:
                 name: value
                 for name, value in entries.items()
                 if not name.endswith("_seconds")
-                and ".cache." not in name
-                and "_cache." not in name
             }
             for kind, entries in self.metrics.items()
         }

@@ -4,17 +4,13 @@ The deployment shape of the paper's detector: a deterministic
 event-driven loop (:mod:`.scheduler`) feeds captured tweets through a
 bounded queue (:mod:`.queues`) into the detector's one scoring kernel
 (:meth:`repro.core.detector.PseudoHoneypotDetector.score`: incremental
-feature extraction backed by the extractor's LRU memo, then the
-compiled forest) — see :class:`~repro.service.sniffer.SnifferService`.
-:mod:`.health` adds the service watchdog rules and :mod:`.soak` the
+feature extraction against a long-lived extractor, then the compiled
+forest) — see :class:`~repro.service.sniffer.SnifferService`.
+:mod:`.health` adds the service watchdog rule and :mod:`.soak` the
 chaos soak harness.
 """
 
-from .health import (
-    cache_hit_collapse_rule,
-    queue_saturation_rule,
-    service_rules,
-)
+from .health import queue_saturation_rule, service_rules
 from .queues import BoundedQueue
 from .scheduler import EventScheduler
 from .sniffer import ScoredTweet, ServiceStats, SnifferService
@@ -27,7 +23,6 @@ __all__ = [
     "ServiceStats",
     "SnifferService",
     "SoakOutcome",
-    "cache_hit_collapse_rule",
     "queue_saturation_rule",
     "run_service_soak",
     "service_rules",

@@ -1,11 +1,9 @@
-"""Service-mode health rules: queue saturation and cache-hit collapse.
+"""Service-mode health rule: queue saturation.
 
-Extends the PR 8 rule pack with the two degraded modes an always-on
-deployment adds: the ingestion queue shedding load (overflow drops)
-and the profile-feature cache thrashing (hit rate collapsing, which
-multiplies per-tweet extraction cost).  Both follow the engine's
-determinism contract — judged on sim-hour ticks, reading event counts
-and non-creating registry lookups only.
+Extends the stock rule pack with the degraded mode an always-on
+deployment adds: the ingestion queue shedding load (overflow drops).
+It follows the engine's determinism contract — judged on sim-hour
+ticks, reading event counts only.
 """
 
 from __future__ import annotations
@@ -40,54 +38,12 @@ def queue_saturation_rule(
     )
 
 
-def cache_hit_collapse_rule(
-    min_lookups: int = 2_000, floor: float = 0.1
-) -> HealthRule:
-    """Profile-feature cache thrashing: hit rate below the floor.
-
-    Judged on the cumulative ``features.profile_cache.*`` counters —
-    a healthy stream revisits sender/receiver profiles constantly, so
-    a rate under ``floor`` after ``min_lookups`` lookups means the
-    cache is too small for the working set (or the stream churns
-    profiles pathologically) and extraction is paying full recompute
-    per mention again.
-    """
-
-    def predicate(ctx: HealthContext) -> object:
-        hits = ctx.counter("features.profile_cache.hits")
-        misses = ctx.counter("features.profile_cache.misses")
-        lookups = hits + misses
-        if lookups < min_lookups:
-            return False
-        rate = hits / lookups
-        if rate < floor:
-            return {"hit_rate": round(rate, 4), "lookups": lookups}
-        return False
-
-    return HealthRule(
-        name="service.cache_hit_collapse",
-        severity="warn",
-        predicate=predicate,
-        window_hours=1,
-        description=(
-            f"profile-feature cache hit rate under {floor:g} after "
-            f"{min_lookups} lookups"
-        ),
-    )
-
-
-def service_rules(
-    include_defaults: bool = True,
-) -> tuple[HealthRule, ...]:
-    """The service watchdog pack (optionally atop the stock rules)."""
-    extra = (queue_saturation_rule(), cache_hit_collapse_rule())
-    if include_defaults:
-        return tuple(default_rules()) + extra
-    return extra
+def service_rules() -> tuple[HealthRule, ...]:
+    """The stock health rules plus the service watchdog."""
+    return (*default_rules(), queue_saturation_rule())
 
 
 __all__ = [
-    "cache_hit_collapse_rule",
     "queue_saturation_rule",
     "service_rules",
 ]

@@ -140,7 +140,6 @@ def run_service_soak(
     queue_capacity: int = 4_096,
     batch_size: int = 32,
     flush_interval_s: float = 1_800.0,
-    profile_cache_cap: int | None = None,
 ) -> SoakOutcome:
     """One full service soak run: world, faults, service, audit.
 
@@ -190,7 +189,6 @@ def run_service_soak(
         queue_capacity=queue_capacity,
         batch_size=batch_size,
         flush_interval_s=flush_interval_s,
-        profile_cache_cap=profile_cache_cap,
     )
     with HealthEngine(rules=service_rules()) as health:
         for __ in range(hours):

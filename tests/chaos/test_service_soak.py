@@ -108,22 +108,6 @@ class TestBackpressureUnderSoak:
         assert outcome.reconciled, outcome.to_dict()
         assert "service.queue_saturation" in outcome.alerts_fired
 
-    def test_cache_thrash_raises_hit_collapse(self):
-        outcome = run_service_soak(
-            7,
-            FaultPlan(),
-            hours=HOURS,
-            profile_cache_cap=1,
-        )
-        assert outcome.reconciled
-        # The collapse rule needs a minimum lookup volume before it
-        # may fire; tiny worlds stay below it, so only assert the run
-        # itself survives a thrashing cache bit-for-bit: scored count
-        # matches the untouched-cache run.
-        baseline = run_service_soak(7, FaultPlan(), hours=HOURS)
-        assert outcome.scored == baseline.scored
-        assert outcome.ground_truth == baseline.ground_truth
-
 
 def test_outcome_record_is_json_ready():
     outcome = run_service_soak(3, sweep_plan(3, 1), hours=HOURS)

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.features.extractor import NO_MENTION_TIME, FeatureExtractor
+from repro.features.extractor import (
+    DEDUP_WINDOW_S,
+    NO_MENTION_TIME,
+    FeatureExtractor,
+)
 from repro.features.schema import N_FEATURES, feature_index
 from repro.twittersim.clock import days
 from repro.twittersim.entities import (
@@ -61,25 +65,23 @@ class TestExtraction:
         vector = extractor.extract(tweet(1, 100.0))
         assert np.array_equal(vector[16:32], np.zeros(16))
 
-    def test_receiver_block_filled_from_profile_cache(self):
-        extractor = FeatureExtractor(honeypot_ids={2})
-        extractor.register_profile(profile(2))
+    def test_receiver_block_filled_from_last_seen_profile(self):
+        extractor = FeatureExtractor()
+        extractor.extract(tweet(2, 100.0))
         mention_tweet = tweet(
             1, 200.0, mentions=(Mention(2, "user2"),)
         )
-        vector = extractor.extract(mention_tweet)
+        vector = extractor.extract(mention_tweet, node_user_ids=(2,))
         assert vector[feature_index("receiver_friends_count")] == 20
 
     def test_receiver_prefers_honeypot_node(self):
-        extractor = FeatureExtractor(honeypot_ids={5})
-        extractor.register_profile(profile(5))
-        extractor.register_profile(profile(2))
         mention_tweet = tweet(
             1,
             200.0,
             mentions=(Mention(2, "user2"), Mention(5, "user5")),
         )
-        assert extractor.receiver_of(mention_tweet) == 5
+        assert FeatureExtractor.receiver_of(mention_tweet, (5,)) == 5
+        assert FeatureExtractor.receiver_of(mention_tweet) == 2
 
     def test_repeated_content_flag(self):
         extractor = FeatureExtractor()
@@ -90,10 +92,14 @@ class TestExtraction:
         assert second[idx] == 1.0
 
     def test_repeated_expires_after_window(self):
-        extractor = FeatureExtractor(dedup_window_s=100.0)
-        extractor.extract(tweet(1, 0.0, text="short lived duplicate"))
-        late = extractor.extract(tweet(2, 500.0, text="short lived duplicate"))
-        assert late[feature_index("is_repeated")] == 0.0
+        extractor = FeatureExtractor()
+        idx = feature_index("is_repeated")
+        text = "short lived duplicate"
+        extractor.extract(tweet(1, 0.0, text=text))
+        edge = extractor.extract(tweet(2, DEDUP_WINDOW_S, text=text))
+        late = extractor.extract(tweet(3, 2 * DEDUP_WINDOW_S + 1, text=text))
+        assert edge[idx] == 1.0
+        assert late[idx] == 0.0
 
     def test_mention_time_feature(self):
         extractor = FeatureExtractor()
