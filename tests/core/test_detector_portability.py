@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.core.detector as detector_module
 from repro.analysis.session import ReproSession
 from repro.core.detector import PseudoHoneypotDetector, default_classifier
 from repro.core.portability import ActivityPolicy
@@ -77,6 +78,27 @@ class TestDetector:
     def test_classify_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             PseudoHoneypotDetector().classify([])
+
+    @pytest.mark.parametrize("chunk_size", [-1, 0, True, 2.5])
+    def test_classify_rejects_bad_chunk_size(
+        self, tiny_session, chunk_size, monkeypatch
+    ):
+        # range(0, n, -1) is empty: a bad chunk size would score
+        # nothing and call every capture "not spam".
+        run = tiny_session.ground_truth_run
+        detector = PseudoHoneypotDetector(
+            classifier=DecisionTreeClassifier(max_depth=8)
+        )
+        detector.fit_from_ground_truth(run.captures, tiny_session.ground_truth)
+        extracted = []
+        monkeypatch.setattr(
+            detector_module,
+            "extract_rows",
+            lambda *args, **kwargs: extracted.append(args),
+        )
+        with pytest.raises(ValueError, match="chunk_size"):
+            detector.classify(run.captures, chunk_size=chunk_size)
+        assert extracted == []
 
     def test_fit_rejects_misaligned_labels(self):
         with pytest.raises(ValueError):
