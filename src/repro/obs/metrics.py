@@ -11,7 +11,8 @@ All instruments hang off a :class:`MetricsRegistry`.  The registry is
 *process-global* (``get_registry()``) so instrumentation points deep in
 the pipeline need no plumbing, but it is **resettable** (``reset()``
 zeroes every instrument while keeping identity, so cached instrument
-references stay live) and **disableable**: with ``set_enabled(False)``
+references stay live, and a snapshot taken after it reads as one from
+a fresh process) and **disableable**: with ``set_enabled(False)``
 every write is a single attribute check and an early return, keeping
 instrumented hot paths within a ~2% overhead envelope of uninstrumented
 code.
@@ -181,6 +182,9 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Counters fetched through :meth:`counter` since the last
+        #: reset; the snapshot lists these even at zero.
+        self._touched: set[str] = set()
 
     # -- instrument access ------------------------------------------------
 
@@ -189,6 +193,7 @@ class MetricsRegistry:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name, self)
+        self._touched.add(name)
         return instrument
 
     def gauge(self, name: str) -> Gauge:
@@ -238,7 +243,11 @@ class MetricsRegistry:
 
         Instrument objects keep their identity, so call sites that
         cached a reference (hot paths do) stay wired to the registry.
+        Counters registered before the reset leave the snapshot until
+        they are fetched or counted again, so a report does not depend
+        on what the process ran before.
         """
+        self._touched.clear()
         for counter in self._counters.values():
             counter._reset()
         for gauge in self._gauges.values():
@@ -290,10 +299,16 @@ class MetricsRegistry:
                 histogram.observe(value)
 
     def snapshot(self) -> dict[str, dict]:
-        """A plain-data view of every instrument with recorded state."""
+        """A plain-data view of every instrument with recorded state.
+
+        Counters are listed when non-zero or fetched since the last
+        reset, as a fresh process would have registered them.
+        """
         return {
             "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
+                name: c.value
+                for name, c in sorted(self._counters.items())
+                if c.value or name in self._touched
             },
             "gauges": {
                 name: g.value

@@ -8,7 +8,7 @@ the ``micro`` and ``tiny`` workloads with two seeds each:
   attributes (captures, node-hours, labels, ...), with wall-clock
   offsets and durations zeroed and the timing attributes stripped;
 * ``metrics`` — the counter, gauge and histogram snapshot, without
-  ``*_seconds`` histograms and cache-efficiency counters.
+  ``*_seconds`` histograms.
 
 ``results/obs_smoke.json`` pins one seed's report byte for byte; these
 digests pin two workloads at two seeds, so a change to how spans are
@@ -16,57 +16,30 @@ opened or stamped that moves any seeded count, span or metric shows up
 as a named artifact.  ``REPRO_WORKERS=2`` reruns this module, which
 must not move a digest either.
 
-Each case runs in a fresh interpreter, as ``scripts/bench.py`` does:
-``obs.reset()`` zeroes counters in place but keeps every counter the
-process ever registered, and the snapshot lists them, so a report
-built after other work carries extra zero counters.
+Each case is computed in the test process, after whatever ran before
+it: ``obs.reset()`` drops from the snapshot every counter the workload
+does not fetch again, so a report does not depend on the process's
+history.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
-
-SRC = Path(__file__).resolve().parents[2] / "src"
-
-_SNIPPET = """\
-import json
-import sys
 
 from repro.analysis import run_bench_workload
 from repro.obs.ledger import stable_digest
-
-scale_name, seed = sys.argv[1], int(sys.argv[2])
-report = run_bench_workload(scale_name, seed=seed, workers=0)
-payload = report.normalized().to_dict()
-print(json.dumps({
-    "spans": stable_digest(payload["spans"]),
-    "metrics": stable_digest(payload["metrics"]),
-}))
-"""
 
 
 def compute(case: str) -> dict[str, str]:
     """Fresh artifact digests of one golden case (``<scale>/seed<N>``)."""
     scale_name, seed_part = case.split("/")
-    seed = seed_part.removeprefix("seed")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH", "")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _SNIPPET, scale_name, seed],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
+    seed = int(seed_part.removeprefix("seed"))
+    report = run_bench_workload(scale_name, seed=seed, workers=0)
+    payload = report.normalized().to_dict()
+    return {
+        "spans": stable_digest(payload["spans"]),
+        "metrics": stable_digest(payload["metrics"]),
+    }
 
 
 GOLDEN: dict[str, dict[str, str]] = {
@@ -80,3 +53,10 @@ GOLDEN: dict[str, dict[str, str]] = {
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_report_digests_match_golden(case):
     assert compute(case) == GOLDEN[case]
+
+
+def test_digests_do_not_depend_on_the_previous_workload():
+    # A report built after a different workload in the same process
+    # must read as one from a fresh interpreter.
+    for case in ("tiny/seed3", "micro/seed7"):
+        assert compute(case) == GOLDEN[case]

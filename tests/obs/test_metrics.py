@@ -105,6 +105,18 @@ class TestRegistryLifecycle:
         assert registry.counter("c").value == 1
         assert registry.counter("c") is counter
 
+    def test_snapshot_after_reset_reads_as_a_fresh_registry(self, registry):
+        registry.counter("stale").inc(2)
+        registry.counter("kept").inc()
+        registry.reset()
+        registry.counter("kept")
+        registry.counter("fresh")
+        assert registry.snapshot()["counters"] == {"fresh": 0, "kept": 0}
+        registry.counter_value("stale")  # a probe does not list it
+        assert "stale" not in registry.snapshot()["counters"]
+        registry.counter("stale")
+        assert registry.snapshot()["counters"]["stale"] == 0
+
     def test_disabled_writes_accumulate_no_state(self):
         registry = MetricsRegistry(enabled=False)
         registry.counter("c").inc(10)
