@@ -1,7 +1,7 @@
 """The perf harness end-to-end: ledger lines and the trajectory gate.
 
-These run the real ``scripts/bench.py`` CLI (micro workload, seconds)
-against a scratch ledger, so they live under ``benchmarks/`` rather
+These run the real ``scripts/bench.py`` CLI (micro workload, seconds;
+small for the doctored gate) against a scratch ledger, so they live under ``benchmarks/`` rather
 than the tier-1 ``tests/`` tree.  They prove the acceptance loop: a
 first run appends a full ledger line and skips the gate, a second run
 diffs against the median of the first at the default threshold, and a
@@ -19,18 +19,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.obs.ledger import MIN_COMPARABLE_SECONDS
+
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 BENCH_CLI = REPO_ROOT / "scripts" / "bench.py"
 
 
-def run_bench(ledger: Path, *extra: str) -> subprocess.CompletedProcess:
+def run_bench(
+    ledger: Path, *extra: str, scale: str = "micro"
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     args = [
         sys.executable,
         str(BENCH_CLI),
         "--scale",
-        "micro",
+        scale,
         "--ledger",
         str(ledger),
         *extra,
@@ -86,22 +90,28 @@ def test_second_run_diffs_against_previous(tmp_path):
 
 
 def test_doctored_slow_trajectory_trips_the_gate(tmp_path):
+    # The small workload: micro's whole run can take under 0.15 s, so a
+    # third of it would fall below the gate's comparability floor.
     ledger = tmp_path / "ledger.jsonl"
-    first = run_bench(ledger, "--runid", "run_a")
+    first = run_bench(ledger, "--runid", "run_a", scale="small")
     assert first.returncode == 0, first.stderr
-    # Rewrite the run's ledger line to claim every phase was ~instant.
     entry = json.loads(ledger.read_text())
+    # Medians only trust timings at or above the comparability floor;
+    # a third of the run's total must still clear it.
+    assert entry["totals"]["wall_s"] >= 3 * MIN_COMPARABLE_SECONDS
+    # Rewrite the run's ledger line to claim every phase took a third
+    # of what it measured, so the next run reads about +200% against
+    # it on a machine of any speed.
     for phase in entry["phases"].values():
-        phase["wall_s"] = 0.005
-    entry["totals"]["wall_s"] = 0.005 * len(entry["phases"])
-    # Medians only trust phases that took >= the comparability floor;
-    # keep one phase just above it so the gate has a real baseline.
-    entry["phases"]["experiment.run_plan"]["wall_s"] = 0.06
+        phase["wall_s"] /= 3
+    entry["totals"]["wall_s"] /= 3
     ledger.write_text(json.dumps(entry) + "\n")  # repro-lint: disable=RPL205 -- doctors a scratch tmp_path ledger line to look fast; never touches results/ledger/
-    gated = run_bench(ledger, "--runid", "run_b")
+    gated = run_bench(ledger, "--runid", "run_b", scale="small")
     assert gated.returncode == 1
     assert "PERF REGRESSION" in gated.stderr
     assert "<< REGRESSION" in gated.stdout
     assert "median[1]" in gated.stdout
-    ungated = run_bench(ledger, "--runid", "run_c", "--no-gate")
+    ungated = run_bench(
+        ledger, "--runid", "run_c", "--no-gate", scale="small"
+    )
     assert ungated.returncode == 0, ungated.stderr
