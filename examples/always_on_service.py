@@ -1,9 +1,9 @@
 """Always-on service: score captures online while the network runs.
 
 The batch pipeline classifies a capture set after the fact; the
-service scores it *while monitoring*: every hour's captures flow
-through a bounded ingestion queue on a virtual-clock scheduler, are
-featurized incrementally, and are scored in batches through the
+service scores it *while monitoring*: every hour's captures are served
+in arrival order on a virtual clock through a bounded ingestion queue,
+are featurized incrementally, and are scored in batches through the
 compiled forest — with the health watchdog listening for queue
 saturation the whole time.
 
