@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..twittersim.api.rest import RestClient
-from ..twittersim.clock import SECONDS_PER_DAY
 from ..twittersim.columnar import AccountColumns
-from ..twittersim.entities import Tweet, UserProfile
+from ..twittersim.entities import Tweet
 from ..twittersim.hashtags import HASHTAG_POOLS
 from .attributes import (
     AttributeCategory,
@@ -27,6 +26,7 @@ from .attributes import (
     HASHTAG_ATTRIBUTE_KEYS,
     PROFILE_ATTRIBUTES,
     TRENDING_ATTRIBUTE_KEYS,
+    attribute_values,
     category_of_key,
     hashtag_category_of_key,
 )
@@ -153,11 +153,10 @@ class _CandidateColumns:
     account store), its user id, and — for the handful of winners — a
     screen name.  Keeping candidates as row indices skips ~pool-size
     ``UserProfile`` constructions per round; the gathered columns are
-    the same arrays a snapshot would copy its fields from, so every
-    derived value equals the scalar ``AttributeSpec.value_of`` one.
+    the same arrays a snapshot would copy its fields from.
     """
 
-    __slots__ = ("cols", "rows", "uids", "_base", "_profiles")
+    __slots__ = ("cols", "rows", "uids", "_base")
 
     def __init__(self, cols: AccountColumns, rows: list[int]) -> None:
         self.cols = cols
@@ -165,13 +164,13 @@ class _CandidateColumns:
         idx = np.array(rows, dtype=np.intp)
         self.uids: list[int] = cols._arrays["user_id"][idx].tolist()
         self._base: dict | None = None
-        self._profiles: list[UserProfile] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def base_arrays(self) -> dict:
-        """Gathered counter columns, keyed by short counter name."""
+        """Gathered counter columns, keyed as
+        :func:`~repro.core.attributes.attribute_values` reads them."""
         if self._base is None:
             arrays = self.cols._arrays
             idx = np.array(self.rows, dtype=np.intp)
@@ -187,59 +186,6 @@ class _CandidateColumns:
 
     def screen_name(self, i: int) -> str:
         return self.cols.screen_name[self.rows[i]]
-
-    def profiles(self) -> list[UserProfile]:
-        """Materialized snapshots, for a caller's own ``AttributeSpec``.
-
-        Only attribute keys :func:`_batch_attribute_values` does not
-        know take this scalar ``value_of`` fallback.
-        """
-        if self._profiles is None:
-            self._profiles = self.cols.snapshot_rows(self.rows)
-        return self._profiles
-
-
-def _candidate_age_days(base: dict, now: float) -> np.ndarray:
-    age = base.get("age_days")
-    if age is None:
-        age = np.maximum((now - base["created"]) / SECONDS_PER_DAY, 1.0)
-        base["age_days"] = age
-    return age
-
-
-def _batch_attribute_values(
-    key: str, base: dict, now: float
-) -> np.ndarray | None:
-    """Vectorized ``AttributeSpec.value_of`` over the candidate batch.
-
-    Every Table II attribute is rational arithmetic over the profile
-    counters, so the column-wise result is bitwise-equal to the
-    per-profile scalar path.  Returns None for unknown keys (the
-    caller falls back to scalar evaluation).
-    """
-    if key == "friends_count":
-        return base["friends"].astype(np.float64)
-    if key == "followers_count":
-        return base["followers"].astype(np.float64)
-    if key == "total_friends_followers":
-        return (base["friends"] + base["followers"]).astype(np.float64)
-    if key == "friend_follower_ratio":
-        return base["friends"] / np.maximum(base["followers"], 1)
-    if key == "account_age_days":
-        return _candidate_age_days(base, now)
-    if key == "lists_count":
-        return base["listed"].astype(np.float64)
-    if key == "favorites_count":
-        return base["favourites"].astype(np.float64)
-    if key == "status_count":
-        return base["statuses"].astype(np.float64)
-    if key == "avg_lists_per_day":
-        return base["listed"] / _candidate_age_days(base, now)
-    if key == "avg_favorites_per_day":
-        return base["favourites"] / _candidate_age_days(base, now)
-    if key == "avg_statuses_per_day":
-        return base["statuses"] / _candidate_age_days(base, now)
-    return None
 
 
 class _RecentIndex:
@@ -559,17 +505,9 @@ class AttributeSelector:
             value_cache = {}
         values = value_cache.get(target.spec.key)
         if values is None:
-            values = _batch_attribute_values(
+            values = attribute_values(
                 target.spec.key, candidates.base_arrays(), now
             )
-            if values is None:
-                values = np.array(
-                    [
-                        target.spec.value_of(p, now)
-                        for p in candidates.profiles()
-                    ],
-                    dtype=np.float64,
-                )
             value_cache[target.spec.key] = values
         # Vector prefilter with slack, then an exact scalar confirm:
         # np.log is not bitwise-equal to math.log (last-ulp drift), so

@@ -74,22 +74,6 @@ class UserProfile:
         """
         return max((now - self.created_at) / SECONDS_PER_DAY, 1.0)
 
-    def avg_statuses_per_day(self, now: float) -> float:
-        """Average statuses posted per day of account life."""
-        return self.statuses_count / self.age_days(now)
-
-    def avg_lists_per_day(self, now: float) -> float:
-        """Average list memberships gained per day of account life."""
-        return self.listed_count / self.age_days(now)
-
-    def avg_favourites_per_day(self, now: float) -> float:
-        """Average favourites per day of account life."""
-        return self.favourites_count / self.age_days(now)
-
-    def friend_follower_ratio(self) -> float:
-        """friends_count / followers_count with a floor of one follower."""
-        return self.friends_count / max(self.followers_count, 1)
-
     def to_json(self) -> dict[str, Any]:
         """Serialize to a Twitter-like user JSON dictionary."""
         return {

@@ -1,5 +1,6 @@
 """Tests for Table I/II attribute definitions."""
 
+import numpy as np
 import pytest
 
 from repro.core.attributes import (
@@ -9,6 +10,7 @@ from repro.core.attributes import (
     PROFILE_ATTRIBUTES,
     TRENDING_ATTRIBUTE_KEYS,
     AttributeCategory,
+    attribute_values,
     category_of_key,
     hashtag_category_of_key,
 )
@@ -17,8 +19,8 @@ from repro.twittersim.entities import UserProfile
 from repro.twittersim.hashtags import HashtagCategory
 
 
-def make_profile() -> UserProfile:
-    return UserProfile(
+def make_profile(**overrides) -> UserProfile:
+    base = dict(
         user_id=1,
         screen_name="x",
         name="X",
@@ -30,6 +32,21 @@ def make_profile() -> UserProfile:
         listed_count=50,
         favourites_count=200,
     )
+    base.update(overrides)
+    return UserProfile(**base)
+
+
+def value_of(key: str, profile: UserProfile, now: float = 0.0) -> float:
+    """The column formula's value of ``key`` for one profile."""
+    counters = {
+        "created": np.array([profile.created_at]),
+        "friends": np.array([profile.friends_count]),
+        "followers": np.array([profile.followers_count]),
+        "statuses": np.array([profile.statuses_count]),
+        "listed": np.array([profile.listed_count]),
+        "favourites": np.array([profile.favourites_count]),
+    }
+    return float(attribute_values(key, counters, now)[0])
 
 
 class TestTableII:
@@ -55,21 +72,50 @@ class TestTableII:
         lists = PROFILE_ATTRIBUTE_BY_KEY["avg_lists_per_day"]
         assert lists.sample_values[0] == pytest.approx(1 / 100)
 
-    def test_value_of_reads_profile(self):
-        profile = make_profile()
-        assert PROFILE_ATTRIBUTE_BY_KEY["friends_count"].value_of(
-            profile, 0.0
-        ) == 300
-        assert PROFILE_ATTRIBUTE_BY_KEY["friend_follower_ratio"].value_of(
-            profile, 0.0
-        ) == pytest.approx(3.0)
-        assert PROFILE_ATTRIBUTE_BY_KEY["avg_lists_per_day"].value_of(
-            profile, 0.0
-        ) == pytest.approx(0.5)
-
     def test_sample_label_format(self):
         spec = PROFILE_ATTRIBUTE_BY_KEY["followers_count"]
         assert spec.sample_label(10_000) == "followers_count=10000"
+
+
+class TestAttributeValues:
+    def test_reads_profile_counters(self):
+        profile = make_profile()
+        assert value_of("friends_count", profile) == 300
+        assert value_of("friend_follower_ratio", profile) == pytest.approx(
+            3.0
+        )
+        assert value_of("avg_lists_per_day", profile) == pytest.approx(0.5)
+
+    def test_per_day_averages(self):
+        profile = make_profile(
+            statuses_count=500, listed_count=10, favourites_count=200
+        )
+        assert value_of("avg_statuses_per_day", profile) == pytest.approx(
+            5.0
+        )
+        assert value_of("avg_lists_per_day", profile) == pytest.approx(0.1)
+        assert value_of("avg_favorites_per_day", profile) == pytest.approx(
+            2.0
+        )
+
+    def test_friend_follower_ratio(self):
+        profile = make_profile(friends_count=120, followers_count=80)
+        assert value_of("friend_follower_ratio", profile) == pytest.approx(
+            1.5
+        )
+
+    def test_ratio_with_zero_followers(self):
+        profile = make_profile(friends_count=120, followers_count=0)
+        assert value_of("friend_follower_ratio", profile) == 120.0
+
+    def test_every_table_ii_key_has_a_formula(self):
+        profile = make_profile()
+        for spec in PROFILE_ATTRIBUTES:
+            assert value_of(spec.key, profile) > 0
+
+    def test_unknown_key_raises(self):
+        with pytest.raises(KeyError, match="karma"):
+            value_of("karma", make_profile())
 
 
 class TestNetworkComposition:

@@ -39,19 +39,6 @@ class TestUserProfile:
         profile = make_profile(created_at=0.0)
         assert profile.age_days(now=10.0) == 1.0
 
-    def test_per_day_averages(self):
-        profile = make_profile(created_at=-days(100))
-        assert profile.avg_statuses_per_day(0.0) == pytest.approx(5.0)
-        assert profile.avg_lists_per_day(0.0) == pytest.approx(0.1)
-        assert profile.avg_favourites_per_day(0.0) == pytest.approx(2.0)
-
-    def test_friend_follower_ratio(self):
-        assert make_profile().friend_follower_ratio() == pytest.approx(1.5)
-
-    def test_ratio_with_zero_followers(self):
-        profile = make_profile(followers_count=0)
-        assert profile.friend_follower_ratio() == 120.0
-
     def test_json_roundtrip(self):
         profile = make_profile(verified=True, default_profile_image=True)
         assert UserProfile.from_json(profile.to_json()) == profile
