@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,13 +113,32 @@ class ScheduledFault:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "ScheduledFault":
+        """Load one entry of a stored plan.
+
+        Raises:
+            ValueError: on an unknown key (a misspelt field would
+                otherwise run at its default), or on an ``hour`` or
+                ``count`` that is a bool or a fractional number.
+        """
+        unknown = set(data) - {field.name for field in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown fault field(s): {sorted(unknown)}")
         return cls(
-            hour=int(data["hour"]),
+            hour=_whole(data["hour"], "hour"),
             kind=FaultKind(data["kind"]),
             at_fraction=float(data.get("at_fraction", 0.5)),
-            count=int(data.get("count", 1)),
+            count=_whole(data.get("count", 1), "count"),
             rate=float(data.get("rate", 0.0)),
         )
+
+
+def _whole(value: object, name: str) -> int:
+    """``value`` as an int, refusing what ``int()`` would truncate."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"fault {name} must be a whole number: {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -176,13 +195,19 @@ class FaultPlan:
                 usually left fault-free).
             n_hours: hours covered by the schedule.
             intensity: scales each kind's base probability
-                (:data:`BASE_PROBABILITIES`); 0 yields the empty plan.
+                (:data:`BASE_PROBABILITIES`, capped at 0.95); 0 yields
+                the empty plan.
             kinds: restrict to a subset of fault kinds.
+
+        Raises:
+            ValueError: on a negative ``n_hours``, or an ``intensity``
+                that is negative or NaN (no draw compares below NaN,
+                so every kind would fire in every hour).
         """
         if n_hours < 0:
             raise ValueError("n_hours must be >= 0")
-        if intensity < 0.0:
-            raise ValueError("intensity must be >= 0")
+        if not intensity >= 0.0:
+            raise ValueError(f"intensity must be >= 0, got {intensity!r}")
         rng = np.random.default_rng(seed + 0xC4A05)
         chosen = kinds if kinds is not None else tuple(FaultKind)
         faults: list[ScheduledFault] = []

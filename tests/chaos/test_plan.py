@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.faults import (
@@ -36,6 +38,25 @@ class TestScheduledFault:
             count=3,
         )
         assert ScheduledFault.from_dict(fault.to_dict()) == fault
+
+    @pytest.mark.parametrize("field", ["hour", "count"])
+    @pytest.mark.parametrize("value", [3.7, True])
+    def test_truncated_numbers_are_refused(self, field, value):
+        entry = {"hour": 3, "kind": "filter_limit", "count": 2}
+        entry[field] = value
+        with pytest.raises(ValueError, match=field):
+            ScheduledFault.from_dict(entry)
+
+    def test_whole_floats_load(self):
+        entry = {"hour": 3.0, "kind": "filter_limit", "count": 2.0}
+        fault = ScheduledFault.from_dict(entry)
+        assert (fault.hour, fault.count) == (3, 2)
+
+    def test_unknown_keys_are_refused(self):
+        # A misspelt "rate" would otherwise run the fault at rate 0.0.
+        entry = {"hour": 3, "kind": "duplicate_delivery", "rat": 0.5}
+        with pytest.raises(ValueError, match="rat"):
+            ScheduledFault.from_dict(entry)
 
 
 class TestFaultPlan:
@@ -131,3 +152,17 @@ class TestRandomPlan:
             FaultPlan.random_plan(1, n_hours=-1)
         with pytest.raises(ValueError):
             FaultPlan.random_plan(1, intensity=-0.5)
+
+    def test_nan_intensity_is_refused(self):
+        # Every draw compares false against NaN, so every kind would
+        # fire in every hour: 35 faults here, against 11 at 1.5.
+        with pytest.raises(ValueError, match="intensity"):
+            FaultPlan.random_plan(
+                7000, start_hour=2, n_hours=5, intensity=math.nan
+            )
+
+    def test_infinite_intensity_is_capped(self):
+        plan = FaultPlan.random_plan(
+            7000, start_hour=2, n_hours=5, intensity=math.inf
+        )
+        assert len(plan.faults) == 32
