@@ -405,6 +405,11 @@ class PhaseDelta:
     def change_pct(self) -> float:
         return 100.0 * (self.ratio - 1.0)
 
+    @property
+    def gated(self) -> bool:
+        """Whether the baseline is long enough for the gate to judge."""
+        return self.previous_wall_s >= MIN_COMPARABLE_SECONDS
+
 
 @dataclass
 class BenchDiff:
@@ -421,8 +426,7 @@ class BenchDiff:
         return [
             delta
             for delta in self.deltas
-            if delta.previous_wall_s >= MIN_COMPARABLE_SECONDS
-            and delta.ratio > 1.0 + self.threshold
+            if delta.gated and delta.ratio > 1.0 + self.threshold
         ]
 
     @property
@@ -430,8 +434,14 @@ class BenchDiff:
         return not self.regressions
 
     def render(self) -> str:
-        """Aligned text table of every compared phase."""
+        """Aligned text table of every compared phase.
+
+        A row whose baseline is under :data:`MIN_COMPARABLE_SECONDS`
+        reads ``not gated``, and the footer counts such rows, so a
+        large change the gate never judged cannot pass for one it did.
+        """
         headers = ("Phase", "Prev s", "Curr s", "Change")
+        regressions = self.regressions
         rows = [
             (
                 delta.phase,
@@ -440,8 +450,8 @@ class BenchDiff:
                 f"{delta.change_pct:+.1f}%"
                 + (
                     "  << REGRESSION"
-                    if delta in self.regressions
-                    else ""
+                    if delta in regressions
+                    else "" if delta.gated else "  not gated"
                 ),
             )
             for delta in self.deltas
@@ -461,6 +471,12 @@ class BenchDiff:
             f"(vs {self.previous_runid}, threshold "
             f"+{100.0 * self.threshold:.0f}%)"
         )
+        ungated = sum(not delta.gated for delta in self.deltas)
+        if ungated:
+            lines.append(
+                f"{ungated} of {len(self.deltas)} rows not gated: "
+                f"baseline under {MIN_COMPARABLE_SECONDS:g} s"
+            )
         return "\n".join(lines)
 
 
