@@ -100,6 +100,38 @@ class TestDegenerateForests:
             per_tree_proba(forest, X),
         )
 
+    def test_single_class_forest_is_all_root_leaves(self):
+        X, __ = make_data()
+        forest = RandomForestClassifier(n_estimators=5, seed=0, workers=0)
+        forest.fit(X, np.zeros(len(X), dtype=np.int64))
+        compiled = forest.compiled()
+        assert np.all(compiled.feature[compiled.roots] < 0)
+        assert np.array_equal(
+            compiled.predict_proba(X), per_tree_proba(forest, X)
+        )
+
+    def test_values_on_split_thresholds(self):
+        # Every value is one of the arena's own thresholds for its
+        # feature, so visited splits see exact ties; each tree's root
+        # split sees its own threshold on one row.
+        forest, X = fit_forest()
+        compiled = forest.compiled()
+        internal = compiled.feature >= 0
+        rows = X[:200].copy()
+        for j in range(rows.shape[1]):
+            cuts = compiled.threshold[internal & (compiled.feature == j)]
+            if cuts.size:
+                # Feature j walks its cuts at stride j + 1, so columns
+                # do not move in step.
+                rows[:, j] = cuts[np.arange(len(rows)) * (j + 1) % cuts.size]
+        roots = compiled.roots[internal[compiled.roots]]
+        rows[np.arange(len(roots)), compiled.feature[roots]] = (
+            compiled.threshold[roots]
+        )
+        assert np.array_equal(
+            compiled.predict_proba(rows), per_tree_proba(forest, rows)
+        )
+
     def test_empty_input(self):
         forest, __ = fit_forest()
         proba = forest.compiled().predict_proba(np.empty((0, 10)))
