@@ -4,7 +4,7 @@ from .behavior import BehaviorTracker, UserActivity
 from .content import normalize_text_for_dedup
 from .environment import EnvironmentScoreTracker
 from .extractor import NO_MENTION_TIME, FeatureExtractor
-from .profile import empty_profile_features, profile_features
+from .profile import NO_PROFILE_FEATURES, profile_features
 from .schema import (
     BEHAVIOR_FEATURE_NAMES,
     CONTENT_FEATURE_NAMES,
@@ -26,11 +26,11 @@ __all__ = [
     "FeatureExtractor",
     "N_FEATURES",
     "NO_MENTION_TIME",
+    "NO_PROFILE_FEATURES",
     "PROFILE_FEATURE_NAMES",
     "UserActivity",
     "count_digits",
     "count_emoji",
-    "empty_profile_features",
     "feature_index",
     "normalize_text_for_dedup",
     "profile_features",

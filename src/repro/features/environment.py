@@ -44,17 +44,16 @@ class EnvironmentScoreTracker:
 
     def score(self, attributes: tuple[str, ...]) -> float:
         """Environment score: max p_i over attributes, else τ."""
-        scores = [
-            p
-            for p in (self.likelihood(a) for a in attributes)
-            if p is not None
-        ]
-        return max(scores) if scores else self.tau
+        best = None
+        for attribute in attributes:
+            p = self.likelihood(attribute)
+            if p is not None and (best is None or p > best):
+                best = p
+        return self.tau if best is None else best
 
     def snapshot(self) -> dict[str, float]:
         """Current p_i for every attribute with at least one spam."""
         return {
-            attribute: self._spams[attribute]
-            / max(self._tweets.get(attribute, 1), 1)
+            attribute: self.likelihood(attribute)
             for attribute in self._spams
         }

@@ -10,8 +10,10 @@ the past only* and then folds the tweet into the state (no
 self-leakage).  The extractor keeps no memo: every call computes its
 profile blocks, dedup form and character counts directly (only
 :func:`~repro.features.profile.profile_features` memoizes description
-character counts).  The capture-row loop that drives it, passing each capture's crossed node ids and feeding confirmed
-spams back into the environment tracker, is
+character counts).  Each call builds its row as one list of Python
+floats in schema order and converts it to an array once.  The
+capture-row loop that drives it, passing each capture's crossed node
+ids and feeding confirmed spams back into the environment tracker, is
 :func:`repro.core.detector.extract_rows`, so this package never sees a
 capture.
 """
@@ -21,16 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..twittersim.entities import Tweet, UserProfile
-from .behavior import BehaviorTracker
+from .behavior import BehaviorTracker, UserActivity
 from .content import (
     _KIND_CODE,
     _SOURCE_CODE,
     normalize_text_for_dedup,
 )
-from .textstats import count_digits, count_emoji
 from .environment import EnvironmentScoreTracker
-from .profile import empty_profile_features, profile_features
-from .schema import N_FEATURES
+from .profile import NO_PROFILE_FEATURES, profile_features
+from .textstats import count_digits, count_emoji
 
 #: Sentinel for "not a reaction to any post" in the mention-time slot.
 NO_MENTION_TIME = -1.0
@@ -38,6 +39,26 @@ NO_MENTION_TIME = -1.0
 #: How long a normalized text stays "seen" for the is-repeated feature:
 #: the paper's 1-day window for content duplication checks.
 DEDUP_WINDOW_S = 86_400.0
+
+#: Kind and source shares of a user with no observed tweets.
+_NO_SHARES = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+
+
+def _shares(
+    activity: UserActivity | None,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Kind and source fractions of one user's observed tweets.
+
+    Each record adds exactly one kind and one source count, so
+    ``n_tweets`` is each list's sum.  The counts are exact ints, so each
+    fraction is their correctly rounded quotient.
+    """
+    if activity is None:
+        return _NO_SHARES
+    n = activity.n_tweets
+    k0, k1, k2 = activity.kind_counts
+    s0, s1, s2, s3 = activity.source_counts
+    return (k0 / n, k1 / n, k2 / n), (s0 / n, s1 / n, s2 / n, s3 / n)
 
 
 class FeatureExtractor:
@@ -94,101 +115,70 @@ class FeatureExtractor:
         """
         now = tweet.created_at
         sender = tweet.user
+        sender_id = sender.user_id
+        text = tweet.text
+        behavior = self.behavior
 
         receiver_id = self.receiver_of(tweet, node_user_ids)
         receiver_profile = (
-            self._profiles.get(receiver_id) if receiver_id is not None else None
+            None if receiver_id is None else self._profiles.get(receiver_id)
         )
+        sender_activity = behavior.activity(sender_id)
+        if receiver_id is None:
+            receiver_activity = None
+            reciprocity = 0.0
+        else:
+            receiver_activity = behavior.activity(receiver_id)
+            reciprocity = float(behavior.reciprocity(sender_id, receiver_id))
 
-        text = tweet.text
         normalized = normalize_text_for_dedup(text)
         last_seen = self._text_last_seen.get(normalized)
         repeated = last_seen is not None and now - last_seen <= DEDUP_WINDOW_S
-
-        sender_activity = self.behavior.activity(sender.user_id)
-        receiver_activity = (
-            self.behavior.activity(receiver_id)
-            if receiver_id is not None
-            else None
-        )
-
         mention_time = tweet.mention_time()
-        reciprocity = (
-            self.behavior.reciprocity(sender.user_id, receiver_id)
-            if receiver_id is not None
-            else 0
-        )
+        sender_kinds, sender_sources = _shares(sender_activity)
+        receiver_kinds, receiver_sources = _shares(receiver_activity)
 
-        vector = np.empty(N_FEATURES)
-        vector[0:16] = profile_features(sender, now)
-        vector[16:32] = (
+        row = profile_features(sender, now)
+        row += (
             profile_features(receiver_profile, now)
             if receiver_profile is not None
-            else empty_profile_features()
+            else NO_PROFILE_FEATURES
         )
-        vector[32] = repeated
-        vector[33] = _KIND_CODE[tweet.kind]
-        vector[34] = _SOURCE_CODE[tweet.source]
-        vector[35] = len(tweet.hashtags)
-        vector[36] = len(tweet.mentions)
-        vector[37] = len(text)
-        vector[38] = count_emoji(text)
-        vector[39] = count_digits(text)
-        vector[40] = float(reciprocity)
-        # Kind and source fractions (slots 41-54) divide the running
-        # counts straight into the row; a user with no history reads
-        # zeros.  Each record adds exactly one count, so ``n_tweets``
-        # is the counts' sum.
-        n_sender = sender_activity.n_tweets
-        if n_sender:
-            np.divide(
-                sender_activity.kind_counts, n_sender, out=vector[41:44]
-            )
-            np.divide(
-                sender_activity.source_counts, n_sender, out=vector[47:51]
-            )
-        else:
-            vector[41:44] = sender_activity.kind_counts
-            vector[47:51] = sender_activity.source_counts
-        if receiver_activity is not None:
-            n_receiver = receiver_activity.n_tweets
-            if n_receiver:
-                np.divide(
-                    receiver_activity.kind_counts,
-                    n_receiver,
-                    out=vector[44:47],
-                )
-                np.divide(
-                    receiver_activity.source_counts,
-                    n_receiver,
-                    out=vector[51:55],
-                )
-            else:
-                vector[44:47] = receiver_activity.kind_counts
-                vector[51:55] = receiver_activity.source_counts
-        else:
-            vector[44:47] = 0.0
-            vector[51:55] = 0.0
-        vector[55] = (
-            mention_time if mention_time is not None else NO_MENTION_TIME
+        row += (
+            1.0 if repeated else 0.0,
+            _KIND_CODE[tweet.kind._value_],
+            _SOURCE_CODE[tweet.source._value_],
+            float(len(tweet.hashtags)),
+            float(len(tweet.mentions)),
+            float(len(text)),
+            float(count_emoji(text)),
+            float(count_digits(text)),
+            reciprocity,
         )
-        vector[56] = sender_activity.average_interval()
-        vector[57] = self.environment.score(attributes)
+        row += sender_kinds
+        row += receiver_kinds
+        row += sender_sources
+        row += receiver_sources
+        row += (
+            mention_time if mention_time is not None else NO_MENTION_TIME,
+            (
+                sender_activity.average_interval()
+                if sender_activity is not None
+                else 0.0
+            ),
+            self.environment.score(attributes),
+        )
 
-        self._update(tweet, normalized, attributes)
-        return vector
+        # Fold the tweet into the state, after its own row.
+        behavior.record(tweet)
+        self._profiles[sender_id] = sender
+        self._text_last_seen[normalized] = now
+        self.environment.record_capture(attributes)
+        if now >= self._dedup_prune_at:
+            self._prune_dedup(now)
+        return np.array(row)
 
     # ------------------------------------------------------------------
-
-    def _update(
-        self, tweet: Tweet, normalized: str, attributes: tuple[str, ...]
-    ) -> None:
-        self.behavior.record(tweet)
-        self._profiles[tweet.user.user_id] = tweet.user
-        self._text_last_seen[normalized] = tweet.created_at
-        self.environment.record_capture(attributes)
-        if tweet.created_at >= self._dedup_prune_at:
-            self._prune_dedup(tweet.created_at)
 
     def _prune_dedup(self, now: float) -> None:
         horizon = now - DEDUP_WINDOW_S

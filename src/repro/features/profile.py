@@ -9,57 +9,51 @@ out).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..twittersim.entities import UserProfile
 from .textstats import count_digits, count_emoji
 
 N_PROFILE_FEATURES = 16
+
+#: The block of a tweet with no receiver profile to read.
+NO_PROFILE_FEATURES: tuple[float, ...] = (0.0,) * N_PROFILE_FEATURES
 
 #: Character-class statistics are pure functions of the description
 #: string, and descriptions repeat massively (one per account, embedded
 #: in every tweet snapshot), so they memoize collision-free on the
 #: string itself.  The cap only bounds pathological churn.
 _DESC_STATS_CAP = 200_000
-_desc_stats: dict[str, tuple[int, int]] = {}
+_desc_stats: dict[str, tuple[float, float]] = {}
 
 
-def _description_stats(text: str) -> tuple[int, int]:
+def _description_stats(text: str) -> tuple[float, float]:
     stats = _desc_stats.get(text)
     if stats is None:
         if len(_desc_stats) >= _DESC_STATS_CAP:
             _desc_stats.clear()
-        stats = (count_emoji(text), count_digits(text))
+        stats = (float(count_emoji(text)), float(count_digits(text)))
         _desc_stats[text] = stats
     return stats
 
 
-def profile_features(profile: UserProfile, now: float) -> np.ndarray:
+def profile_features(profile: UserProfile, now: float) -> list[float]:
     """The 16 profile features of one account at time ``now``."""
     age = profile.age_days(now)
     n_emoji, n_digits = _description_stats(profile.description)
-    return np.array(
-        [
-            float(profile.friends_count),
-            float(profile.followers_count),
-            age,
-            float(profile.statuses_count),
-            profile.statuses_count / age,
-            float(profile.listed_count),
-            profile.listed_count / age,
-            profile.favourites_count / age,
-            float(profile.favourites_count),
-            float(profile.verified),
-            float(profile.default_profile_image),
-            float(len(profile.screen_name)),
-            float(len(profile.name)),
-            float(len(profile.description)),
-            float(n_emoji),
-            float(n_digits),
-        ]
-    )
-
-
-def empty_profile_features() -> np.ndarray:
-    """Zero block used when no receiver profile is available."""
-    return np.zeros(N_PROFILE_FEATURES)
+    return [
+        float(profile.friends_count),
+        float(profile.followers_count),
+        age,
+        float(profile.statuses_count),
+        profile.statuses_count / age,
+        float(profile.listed_count),
+        profile.listed_count / age,
+        profile.favourites_count / age,
+        float(profile.favourites_count),
+        float(profile.verified),
+        float(profile.default_profile_image),
+        float(len(profile.screen_name)),
+        float(len(profile.name)),
+        float(len(profile.description)),
+        n_emoji,
+        n_digits,
+    ]

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import re
 import unicodedata
 
-_ASCII_DIGITS = "0123456789"
+#: ASCII digits and every code point outside ASCII: within ASCII
+#: ``str.isdigit`` accepts exactly 0-9, outside it more than decimal
+#: digits (superscripts, circled digits), so those are asked one by
+#: one.
+_DIGIT_CANDIDATES = re.compile("[0-9\u0080-\U0010ffff]")
+
+#: Every code point at or above U+2600: the only ones :func:`is_emoji`
+#: can accept.
+_AT_OR_ABOVE_U2600 = re.compile("[\u2600-\U0010ffff]")
 
 #: Per-character emoji verdicts; the alphabet of any run is tiny, so
 #: this stays a few dozen entries.
@@ -12,15 +21,8 @@ _emoji_cache: dict[str, bool] = {}
 
 
 def count_digits(text: str) -> int:
-    """Number of decimal digit characters."""
-    if text.isascii():
-        # For ASCII text ``ch.isdigit()`` is exactly membership in
-        # 0-9, so ten C-level scans replace the per-character loop.
-        n = 0
-        for digit in _ASCII_DIGITS:
-            n += text.count(digit)
-        return n
-    return sum(map(str.isdigit, text))
+    """Number of digit characters (``str.isdigit``)."""
+    return sum(map(str.isdigit, _DIGIT_CANDIDATES.findall(text)))
 
 
 def is_emoji(ch: str) -> bool:
@@ -45,7 +47,7 @@ def count_emoji(text: str) -> int:
     if text.isascii():
         # Every ASCII code point is below U+2600.
         return 0
-    return sum(map(is_emoji, text))
+    return sum(map(is_emoji, _AT_OR_ABOVE_U2600.findall(text)))
 
 
 def strip_for_shingling(text: str) -> str:

@@ -48,8 +48,8 @@ def tweet(
 class TestUserActivity:
     def test_fresh_activity_is_zeroed(self):
         activity = UserActivity()
-        assert activity.kind_counts.sum() == 0.0
-        assert activity.source_counts.sum() == 0.0
+        assert sum(activity.kind_counts) == 0
+        assert sum(activity.source_counts) == 0
         assert activity.average_interval() == 0.0
 
     def test_average_interval(self):
@@ -82,6 +82,20 @@ class TestBehaviorTracker:
         tracker.record(tweet(2, 3.0))
         assert tracker.activity(1).n_tweets == 2
         assert tracker.activity(2).n_tweets == 1
+
+    def test_lookups_of_unseen_ids_never_insert(self):
+        tracker = BehaviorTracker()
+        tracker.record(tweet(1, 1.0, mentions=(Mention(2, "user2"),)))
+        activity = dict(tracker._activity)
+        reciprocity = dict(tracker._reciprocity)
+        # 2 was mentioned but never sent; 98 and 99 were never seen.
+        assert tracker.activity(2) is None
+        assert tracker.activity(99) is None
+        assert tracker.reciprocity(1, 99) == 0
+        assert tracker.reciprocity(98, 99) == 0
+        assert tracker._activity == activity
+        assert tracker._reciprocity == reciprocity
+        assert len(tracker) == 1
 
     def test_multi_mention_counts_each_pair(self):
         tracker = BehaviorTracker()

@@ -54,3 +54,13 @@ class TestEnvironmentScore:
         tracker = EnvironmentScoreTracker()
         tracker.record_spam(("x",))  # spam without capture record
         assert tracker.score(("x",)) <= 1.0
+        # More spams than captures under one attribute.
+        tracker.record_capture(("a",))
+        tracker.record_spam(("a",))
+        tracker.record_spam(("a",))
+        assert tracker.score(("a",)) == 1.0
+        assert tracker.snapshot() == {
+            "x": tracker.likelihood("x"),
+            "a": tracker.likelihood("a"),
+        }
+        assert max(tracker.snapshot().values()) <= 1.0

@@ -74,6 +74,17 @@ class TestExtraction:
         vector = extractor.extract(mention_tweet, node_user_ids=(2,))
         assert vector[feature_index("receiver_friends_count")] == 20
 
+    def test_unseen_receiver_adds_no_state(self):
+        # Receiver 2 never sent a tweet: its blocks read zeros and the
+        # lookup leaves no trace in the behavioral state.
+        extractor = FeatureExtractor()
+        mention_tweet = tweet(1, 200.0, mentions=(Mention(2, "user2"),))
+        vector = extractor.extract(mention_tweet, node_user_ids=(2,))
+        assert np.array_equal(vector[16:32], np.zeros(16))
+        assert np.array_equal(vector[44:47], np.zeros(3))
+        assert np.array_equal(vector[51:55], np.zeros(4))
+        assert len(extractor.behavior) == 1
+
     def test_receiver_prefers_honeypot_node(self):
         mention_tweet = tweet(
             1,

@@ -5,11 +5,7 @@ import pytest
 
 from repro.features.content import normalize_text_for_dedup
 from repro.features.extractor import FeatureExtractor
-from repro.features.profile import (
-    N_PROFILE_FEATURES,
-    empty_profile_features,
-    profile_features,
-)
+from repro.features.profile import N_PROFILE_FEATURES, profile_features
 from repro.twittersim.clock import days
 from repro.twittersim.entities import (
     Mention,
@@ -63,9 +59,6 @@ class TestProfileFeatures:
         assert vector[13] == len(profile.description)
         assert vector[14] == 1.0  # emoji in description
         assert vector[15] == 2.0  # digits in description ("42")
-
-    def test_empty_block_is_zeros(self):
-        assert np.array_equal(empty_profile_features(), np.zeros(16))
 
     def test_all_finite(self):
         vector = profile_features(make_profile(created_at=0.0), now=0.0)
