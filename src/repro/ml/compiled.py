@@ -28,7 +28,7 @@ representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +42,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: (``rows * trees`` int64 cells) to a few MB regardless of batch size.
 DEFAULT_ROW_CHUNK = 8_192
 
+#: Levels every cursor walks before finished cursors are first dropped,
+#: and between later drops.  A leaf absorbs its cursor, so a finished
+#: cursor may walk on in place; dropping them every level costs more
+#: passes than the few absorbed steps it saves.
+FIRST_COMPACTION_LEVEL = 6
+COMPACTION_EVERY = 2
+
 
 @dataclass(frozen=True)
 class CompiledForest:
@@ -53,6 +60,13 @@ class CompiledForest:
     ``value[i]`` is the leaf's P(class 1).  ``roots[t]`` is tree
     ``t``'s arena index, so tree order — and therefore accumulation
     order — is preserved exactly.
+
+    The walk reads a form derived from these six arrays, with ``intp``
+    node ids: ``walk_child`` holds node ``i``'s left child at ``2*i``
+    and its right child at ``2*i + 1``, and ``walk_feature`` its split
+    feature.  A leaf is both of its own children and reads feature 0,
+    so a cursor that reaches a leaf stays there whatever it compares.
+    ``internal`` marks the nodes a cursor has not finished at.
     """
 
     feature: np.ndarray
@@ -62,6 +76,20 @@ class CompiledForest:
     value: np.ndarray
     roots: np.ndarray
     n_features_: int
+    walk_feature: np.ndarray = field(init=False, repr=False)
+    walk_child: np.ndarray = field(init=False, repr=False)
+    internal: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        internal = self.feature >= 0
+        ids = np.arange(len(self.feature), dtype=np.intp)
+        child = np.empty(2 * len(ids), dtype=np.intp)
+        child[0::2] = np.where(internal, self.left, ids)
+        child[1::2] = np.where(internal, self.right, ids)
+        walk_feature = np.where(internal, self.feature, 0).astype(np.intp)
+        object.__setattr__(self, "walk_feature", walk_feature)
+        object.__setattr__(self, "walk_child", child)
+        object.__setattr__(self, "internal", internal)
 
     @property
     def n_trees(self) -> int:
@@ -75,24 +103,39 @@ class CompiledForest:
         """(n, n_trees) per-tree leaf values for every row of X.
 
         ``X`` must already be validated float64 (see
-        :meth:`predict_proba` for the checked entry point).
+        :meth:`predict_proba` for the checked entry point).  Non-finite
+        values are not supported: the walk sends ``x > threshold``
+        right, which is ``x <= threshold`` going left only for finite
+        ``x``.
         """
-        n = X.shape[0]
+        n, n_features = X.shape
         n_trees = self.n_trees
-        # Cursor layout is row-major (row, tree): cur[r * T + t] walks
-        # tree t for row r.  All cursors advance one level per
-        # iteration; finished (leaf) cursors drop out of `active`.
-        cur = np.tile(self.roots, n)
-        row_of = np.repeat(np.arange(n, dtype=np.int64), n_trees)
-        active = np.nonzero(self.feature[cur] >= 0)[0]
-        while active.size:
-            node = cur[active]
-            f = self.feature[node]
-            go_left = X[row_of[active], f] <= self.threshold[node]
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            cur[active] = nxt
-            active = active[self.feature[nxt] >= 0]
-        return self.value[cur].reshape(n, n_trees)
+        x = X.reshape(-1)
+        feature = self.walk_feature
+        threshold = self.threshold
+        child = self.walk_child
+        # Cursor layout is row-major (row, tree): cursor r * T + t
+        # walks tree t for row r and reads X's row at offset[r * T + t].
+        node = np.tile(self.roots, n)
+        offset = np.repeat(
+            np.arange(n, dtype=np.intp) * n_features, n_trees
+        )
+        leaf = np.empty_like(node)
+        where = np.arange(node.size)
+        steps = FIRST_COMPACTION_LEVEL
+        while where.size:
+            for __ in range(steps):
+                values = x.take(offset + feature.take(node))
+                goes_right = values > threshold.take(node)
+                node = child.take(2 * node + goes_right)
+            # Keep only the cursors still on an internal node.
+            leaf[where] = node
+            walking = np.flatnonzero(self.internal.take(node))
+            where = where.take(walking)
+            node = node.take(walking)
+            offset = offset.take(walking)
+            steps = COMPACTION_EVERY
+        return self.value.take(leaf).reshape(n, n_trees)
 
     def predict_proba(
         self, X: np.ndarray, row_chunk: int = DEFAULT_ROW_CHUNK
