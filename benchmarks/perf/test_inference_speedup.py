@@ -1,4 +1,4 @@
-"""Perf gate: compiled-forest inference beats the object-tree walk 2x.
+"""Perf gate: compiled-forest inference beats the object-tree walk 4x.
 
 ROADMAP 5b's acceptance bar, measured on the workload the service
 actually runs: many small batches (the service scores
@@ -9,7 +9,8 @@ paths are element-work bound — so the gate pins the deployment shape,
 not a synthetic giant matrix.  Parity is asserted in the same breath:
 a fast wrong answer must fail here, not in production.
 
-Skipped below 4 CPUs: a loaded single core measures scheduler noise.
+Both paths run single-threaded in one process, so two CPUs suffice;
+skipped on one CPU, where a loaded core measures scheduler noise.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.ml.base import check_X
 from repro.ml.forest import RandomForestClassifier
 from repro.obs import reset, set_enabled
 
-MIN_CPUS = 4
-MIN_SPEEDUP = 2.0
+MIN_CPUS = 2
+MIN_SPEEDUP = 4.0
 #: The service's scoring shape: a stream of small flush batches.
 BATCH_ROWS = 256
 N_BATCHES = 60
