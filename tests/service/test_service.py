@@ -110,14 +110,17 @@ class TestBatchParity:
         service = make_service(seed=3)
         service.replay(capture_stream)
         assert len(scored) == service.batches
-        assert np.array_equal(X_ref, np.vstack([X for X, __ in scored]))
+        assert np.array_equal(X_ref, np.vstack([X for X, __, __ in scored]))
         assert np.array_equal(
-            proba_ref, np.concatenate([p for __, p in scored])
+            proba_ref, np.concatenate([p for __, p, __ in scored])
         )
         assert np.array_equal(
             proba_ref,
             np.array([r.spam_probability for r in service.results]),
         )
+        assert [r.is_spam for r in service.results] == [
+            spam for __, __, flags in scored for spam in flags
+        ]
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parity_across_worker_counts(self, capture_stream, workers):
