@@ -342,8 +342,14 @@ class GroundTruthLabeler:
         spam_tweet: dict[int, str],
         mark_user,
     ) -> None:
-        """Fixpoint label propagation across user and tweet groups."""
-        for __ in range(4):  # small bound; usually converges in 2
+        """Fixpoint label propagation across user and tweet groups.
+
+        Rounds repeat until one changes nothing.  A group marks all its
+        members in the round it first finds one marked, so at most one
+        round per group changes anything.
+        """
+        changed = True
+        while changed:
             changed = False
             for group in user_groups:
                 if any(uid in spam_user for uid in group):
@@ -366,8 +372,6 @@ class GroundTruthLabeler:
                         if uid not in spam_user:
                             mark_user(uid, "clustering")
                             changed = True
-            if not changed:
-                break
 
     def _manual_pass(
         self,

@@ -7,6 +7,7 @@ from repro.labeling.manual import ManualChecker
 from repro.labeling.pipeline import METHODS, GroundTruthLabeler
 from repro.twittersim import SimulationConfig, TwitterEngine, build_population
 from repro.twittersim.api.rest import RestClient
+from repro.twittersim.entities import Tweet, UserProfile
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +99,73 @@ class TestPipeline:
     def test_clustering_method_contributes(self, labeled_world):
         __, dataset = labeled_world
         assert dataset.method_counts["clustering"].spams > 0
+
+
+class TestPropagation:
+    """Clustering labels spread until a round changes nothing."""
+
+    LINKS = 10
+
+    def test_long_chain_reaches_its_far_end(self):
+        """User ``LINKS`` is spam; links alternate user and tweet groups.
+
+        Link ``k`` joins users ``LINKS - k + 1`` and ``LINKS - k``: odd
+        links as a user group, even links through their one tweet each
+        (tweet ``i`` is user ``i``'s).  Each list holds later links
+        first, so a round crosses one link of each kind and the chain
+        needs 5 changing rounds.
+        """
+        n_users = self.LINKS + 1
+        tweets = [
+            Tweet(
+                tweet_id=100 + uid,
+                created_at=float(uid),
+                user=UserProfile(
+                    user_id=uid,
+                    screen_name=f"user{uid}",
+                    name="U",
+                    created_at=0.0,
+                    description="",
+                    friends_count=1,
+                    followers_count=1,
+                    statuses_count=1,
+                    listed_count=0,
+                    favourites_count=0,
+                ),
+                text="",
+            )
+            for uid in range(n_users)
+        ]
+        tweets_of_user = {uid: [uid] for uid in range(n_users)}
+        user_groups = [
+            [self.LINKS - k + 1, self.LINKS - k]
+            for k in range(self.LINKS - 1, 0, -2)
+        ]
+        tweet_groups = [
+            [self.LINKS - k + 1, self.LINKS - k]
+            for k in range(self.LINKS, 0, -2)
+        ]
+        spam_user: dict[int, str] = {}
+        spam_tweet: dict[int, str] = {}
+
+        def mark_user(uid: int, method: str) -> None:
+            if uid not in spam_user:
+                spam_user[uid] = method
+                for i in tweets_of_user[uid]:
+                    spam_tweet.setdefault(i, method)
+
+        mark_user(self.LINKS, "suspended")
+        GroundTruthLabeler(None, None)._propagate(
+            tweets,
+            list(range(n_users)),
+            user_groups,
+            tweet_groups,
+            tweets_of_user,
+            spam_user,
+            spam_tweet,
+            mark_user,
+        )
+        expected = {uid: "clustering" for uid in range(self.LINKS)}
+        expected[self.LINKS] = "suspended"
+        assert spam_user == expected
+        assert spam_tweet == expected
