@@ -32,7 +32,7 @@ def _smooth_random_image(rng: np.random.Generator, size: int) -> np.ndarray:
     """
     coarse = rng.uniform(0, 255, size=(8, 8))
     factor = size // 8
-    image = np.kron(coarse, np.ones((factor, factor)))
+    image = coarse.repeat(factor, axis=0).repeat(factor, axis=1)
     image += rng.normal(0, 4, size=image.shape)
     return np.clip(image, 0, 255).astype(np.uint8)
 
