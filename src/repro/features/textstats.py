@@ -15,6 +15,11 @@ _DIGIT_CANDIDATES = re.compile("[0-9\u0080-\U0010ffff]")
 #: can accept.
 _AT_OR_ABOVE_U2600 = re.compile("[\u2600-\U0010ffff]")
 
+#: What :func:`strip_for_shingling` removes from an ASCII token: every
+#: character but ``str.isalnum``'s ASCII ones (no ASCII character is
+#: an emoji).
+_ASCII_NON_ALNUM = re.compile("[^0-9A-Za-z]")
+
 #: Per-character emoji verdicts; the alphabet of any run is tiny, so
 #: this stays a few dozen entries.
 _emoji_cache: dict[str, bool] = {}
@@ -64,10 +69,10 @@ def strip_for_shingling(text: str) -> str:
     for token in text.lower().split():
         if token.startswith("http"):
             continue
-        if token.isascii() and token.isalnum():
-            # Plain-word fast path: nothing to strip (ASCII alnum
-            # characters are never emoji or punctuation).
-            cleaned = token
+        if token.isascii():
+            cleaned = (
+                token if token.isalnum() else _ASCII_NON_ALNUM.sub("", token)
+            )
         else:
             cleaned = "".join(
                 ch for ch in token if ch.isalnum() and not is_emoji(ch)

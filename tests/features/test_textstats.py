@@ -60,3 +60,22 @@ class TestShinglingNormalization:
     def test_empty_and_url_only(self):
         assert strip_for_shingling("") == ""
         assert strip_for_shingling("http://a.example/b") == ""
+
+    @given(
+        st.lists(
+            st.one_of(
+                mixed_text,
+                st.sampled_from(["http://x.example/1", "12-34", "a_b", "--"]),
+            ),
+            max_size=6,
+        ).map(" ".join)
+    )
+    def test_strip_keeps_alnum_non_emoji_characters(self, text):
+        tokens = (
+            "".join(ch for ch in token if ch.isalnum() and not is_emoji(ch))
+            for token in text.lower().split()
+            if not token.startswith("http")
+        )
+        assert strip_for_shingling(text) == " ".join(
+            token for token in tokens if token and not token.isdigit()
+        )
