@@ -20,6 +20,11 @@ Shingles are hashed with :func:`stable_hash64`, not builtin
 ``hash()``: the builtin is salted per process (``PYTHONHASHSEED``),
 so its signatures would disagree across pool workers and across
 reruns — exactly the nondeterminism lint rule RPL005 bans.
+
+Inside the kernel a tri-gram is one int64: its three code points, 21
+bits each (U+10FFFF < 2**21).  A text shorter than three characters is
+padded with a code above U+10FFFF, so it stays one shingle of its own,
+hashed as the short string itself.
 """
 
 from __future__ import annotations
@@ -42,6 +47,19 @@ _CHUNK = 256
 #: over; one chunk may add its own shingles past the cap.
 _TABLE_CAP = 1 << 16
 
+#: Bits per code point in a packed tri-gram, and their mask.
+_POINT_BITS = 21
+_POINT_MASK = (1 << _POINT_BITS) - 1
+
+#: The code that pads a text shorter than a tri-gram: above U+10FFFF,
+#: so no character has it.
+_PAD = 0x110000
+
+#: Follows each text in a chunk's joined string and reads as a pad:
+#: :func:`strip_for_shingling` keeps only alphanumeric characters and
+#: single spaces, so no stripped text holds a NUL.
+_TEXT_END = "\0" * 3
+
 
 def stable_hash64(text: str) -> int:
     """Process-stable 63-bit hash of a text (blake2b-derived).
@@ -58,51 +76,59 @@ class MinHasher:
     """k-function MinHash signatures over character tri-grams.
 
     :meth:`signatures` is the batch kernel and the one way to sign
-    texts.  The k hash values of every distinct shingle
-    are kept in a bounded per-hasher table (tri-grams draw from a small
-    alphabet: labeling the train benchmark's ~9.7k tweets meets about
-    1.2k distinct shingles among ~0.7M occurrences).  The table is a
+    texts.  The k hash values of every distinct shingle are kept in a
+    bounded per-hasher table (tri-grams draw from a small alphabet:
+    labeling the train benchmark's ~9.7k tweets meets about 1.2k
+    distinct shingles among ~0.7M occurrences), whose rows are found
+    by a sorted search over the packed tri-gram codes.  The table is a
     pure cache that never changes a signature, and it is left out of
     pickled state, so a hasher shipped to a pool worker starts empty.
 
     Args:
         n_hashes: signature length k (more = stricter identity).
-        shingle_size: character n-gram size (paper: tri-grams).
         seed: seeds the hash coefficients ``a`` and ``b``.
     """
 
-    def __init__(
-        self, n_hashes: int = 16, shingle_size: int = 3, seed: int = 0
-    ) -> None:
+    def __init__(self, n_hashes: int = 16, seed: int = 0) -> None:
         if n_hashes < 1:
             raise ValueError("n_hashes must be >= 1")
-        if shingle_size < 1:
-            raise ValueError("shingle_size must be >= 1")
         self.n_hashes = n_hashes
-        self.shingle_size = shingle_size
         rng = np.random.default_rng(seed)
         self._a = rng.integers(1, _MERSENNE_PRIME, size=n_hashes, dtype=np.int64)
         self._b = rng.integers(0, _MERSENNE_PRIME, size=n_hashes, dtype=np.int64)
         self._clear_table()
 
     def _clear_table(self) -> None:
-        self._row_of: dict[str, int] = {}
+        #: Packed tri-gram code of each table row, and the row order
+        #: that sorts them.
+        self._codes = np.empty(0, dtype=np.int64)
+        self._sorter = np.empty(0, dtype=np.intp)
         self._table = np.empty((0, self.n_hashes), dtype=np.int64)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_row_of"], state["_table"]
+        del state["_codes"], state["_sorter"], state["_table"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._clear_table()
 
-    def _add_rows(self, shingles: list[str]) -> None:
-        """Give new shingles table rows holding their k hash values."""
-        start = len(self._row_of)
-        end = start + len(shingles)
-        self._row_of.update(zip(shingles, range(start, end)))
+    def _rows_of(self, codes: np.ndarray) -> np.ndarray:
+        """Table rows of ``codes``; -1 for a code the table lacks."""
+        if not len(self._codes):
+            return np.full(len(codes), -1, dtype=np.intp)
+        slots = np.searchsorted(self._codes, codes, sorter=self._sorter)
+        rows = self._sorter[np.minimum(slots, len(self._codes) - 1)]
+        rows[self._codes[rows] != codes] = -1
+        return rows
+
+    def _add_rows(self, codes: np.ndarray) -> np.ndarray:
+        """Give new tri-gram codes table rows holding their k hash
+        values, and return those rows; only these codes are decoded
+        and hashed."""
+        start = len(self._codes)
+        end = start + len(codes)
         if end > len(self._table):
             grown = np.empty(
                 (max(end, 2 * len(self._table)), self.n_hashes), np.int64
@@ -110,43 +136,52 @@ class MinHasher:
             grown[:start] = self._table[:start]
             self._table = grown
         hashed = np.fromiter(
-            map(stable_hash64, shingles), dtype=np.int64, count=end - start
+            (stable_hash64(_shingle_text(code)) for code in codes.tolist()),
+            dtype=np.int64,
+            count=end - start,
         )
         # int64 on purpose: the product wraps (see the module docstring).
         self._table[start:end] = (
             hashed[:, None] * self._a[None, :] + self._b[None, :]
         ) % _MERSENNE_PRIME
+        self._codes = np.concatenate([self._codes, codes])
+        self._sorter = np.argsort(self._codes)
+        return np.arange(start, end)
 
     def _signature_chunk(self, texts: list[str]) -> list[tuple[int, ...]]:
-        if len(self._row_of) >= _TABLE_CAP:
+        if len(self._codes) >= _TABLE_CAP:
             self._clear_table()
-        k = self.shingle_size
-        shingles: list[str] = []
-        starts: list[int] = []
-        for text in texts:
-            starts.append(len(shingles))
-            normalized = strip_for_shingling(text)
-            if len(normalized) < k:
-                shingles.append(normalized)
-            else:
-                shingles += [
-                    normalized[i : i + k]
-                    for i in range(len(normalized) - k + 1)
-                ]
-        row_of = self._row_of
-        new = [
-            shingle
-            for shingle in dict.fromkeys(shingles)
-            if shingle not in row_of
-        ]
-        if new:
-            self._add_rows(new)
-        rows = np.fromiter(
-            map(row_of.__getitem__, shingles),
-            dtype=np.intp,
-            count=len(shingles),
+        stripped = [strip_for_shingling(text) for text in texts]
+        lengths = np.fromiter(
+            map(len, stripped), dtype=np.intp, count=len(stripped)
         )
-        minima = np.minimum.reduceat(self._table[rows], starts, axis=0)
+        points = np.frombuffer(
+            (_TEXT_END.join(stripped) + _TEXT_END).encode("utf-32-le"),
+            dtype="<u4",
+        ).astype(np.int64)
+        points[points == 0] = _PAD
+        # Text t's tri-grams start at its first character and number
+        # max(len - 2, 1): one padded shingle when shorter than three.
+        counts = np.maximum(lengths - 2, 1)
+        starts = np.cumsum(counts) - counts
+        spans = lengths + len(_TEXT_END)
+        firsts = np.cumsum(spans) - spans
+        at = np.arange(starts[-1] + counts[-1]) + np.repeat(
+            firsts - starts, counts
+        )
+        codes = (
+            points[at] << 2 * _POINT_BITS
+            | points[at + 1] << _POINT_BITS
+            | points[at + 2]
+        )
+        unique, inverse = np.unique(codes, return_inverse=True)
+        rows = self._rows_of(unique)
+        new = rows < 0
+        if new.any():
+            rows[new] = self._add_rows(unique[new])
+        minima = np.minimum.reduceat(
+            self._table[rows[inverse]], starts, axis=0
+        )
         return [tuple(signature) for signature in minima.tolist()]
 
     def signatures(self, texts: list[str]) -> list[tuple[int, ...]]:
@@ -163,6 +198,19 @@ class MinHasher:
                 texts[start : start + _CHUNK]
             )
         ]
+
+
+def _shingle_text(code: int) -> str:
+    """The string a packed tri-gram code stands for, pads dropped."""
+    return "".join(
+        chr(point)
+        for point in (
+            code >> 2 * _POINT_BITS,
+            (code >> _POINT_BITS) & _POINT_MASK,
+            code & _POINT_MASK,
+        )
+        if point != _PAD
+    )
 
 
 def group_signatures(

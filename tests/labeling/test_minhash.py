@@ -4,9 +4,12 @@ import os
 import pickle
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.features.textstats import strip_for_shingling
 from repro.labeling import minhash
@@ -18,15 +21,14 @@ from repro.labeling.minhash import (
 
 
 def _reference_signature(hasher: MinHasher, text: str) -> tuple[int, ...]:
-    """The per-text signature the batch kernel replaced."""
+    """The per-text signature over string tri-grams."""
     normalized = strip_for_shingling(text)
-    k = hasher.shingle_size
-    if len(normalized) < k:
+    if len(normalized) < 3:
         hashed = {stable_hash64(normalized)}
     else:
         hashed = {
-            stable_hash64(normalized[i : i + k])
-            for i in range(len(normalized) - k + 1)
+            stable_hash64(normalized[i : i + 3])
+            for i in range(len(normalized) - 2)
         }
     shingles = np.fromiter(sorted(hashed), dtype=np.int64)
     values = (
@@ -83,19 +85,18 @@ class TestMinHasher:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             MinHasher(n_hashes=0)
-        with pytest.raises(ValueError):
-            MinHasher(shingle_size=0)
 
 
 class TestSignaturesMatchReference:
     """The batch kernel equals the per-text formula, text by text."""
 
     @pytest.mark.parametrize(
-        "n_hashes, shingle_size, seed",
-        [(16, 3, 0), (32, 3, 5), (64, 2, 1), (7, 1, 2), (16, 5, 3)],
+        "n_hashes, seed",
+        # Ids read n_hashes-3-seed: 3 is the tri-gram size.
+        [pytest.param(16, 0, id="16-3-0"), pytest.param(32, 5, id="32-3-5")],
     )
-    def test_signatures(self, n_hashes, shingle_size, seed):
-        hasher = MinHasher(n_hashes, shingle_size, seed)
+    def test_signatures(self, n_hashes, seed):
+        hasher = MinHasher(n_hashes, seed)
         expected = [_reference_signature(hasher, t) for t in _TEXTS]
         assert hasher.signatures(_TEXTS) == expected
         # Served from the now-filled table, and one text at a time.
@@ -115,7 +116,7 @@ class TestSignaturesMatchReference:
         got, sizes = [], []
         for start in range(0, len(_TEXTS), 6):
             got += hasher.signatures(_TEXTS[start : start + 6])
-            sizes.append(len(hasher._row_of))
+            sizes.append(len(hasher._codes))
         assert got == [_reference_signature(hasher, t) for t in _TEXTS]
         # The table was cleared at least once and stays bounded by the
         # cap plus one chunk's shingles.
@@ -126,11 +127,55 @@ class TestSignaturesMatchReference:
         hasher = MinHasher(seed=6)
         expected = hasher.signatures(_TEXTS)
         clone = pickle.loads(pickle.dumps(hasher))
-        assert hasher._row_of and clone._row_of == {}
+        assert len(hasher._codes) and not len(clone._codes)
         assert clone.signatures(_TEXTS) == expected
 
     def test_empty_batch(self):
         assert MinHasher().signatures([]) == []
+
+
+#: Characters around ASCII punctuation, the U+2600 emoji floor, the
+#: emoji variation selector and joiner, astral emoji, CJK (BMP and
+#: astral) and combining marks.
+_CHARACTERS = st.one_of(
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x25F0, max_codepoint=0x2610),
+    st.sampled_from(["\ufe0f", "\u200d"]),
+    st.characters(min_codepoint=0x1F300, max_codepoint=0x1FAFF),
+    st.characters(min_codepoint=0x4E00, max_codepoint=0x4E20),
+    st.characters(min_codepoint=0x20000, max_codepoint=0x20010),
+    st.characters(min_codepoint=0x0300, max_codepoint=0x036F),
+)
+
+#: Free tokens, digit-only tokens, and tokens that strip to 0-2
+#: characters (links, mentions, one or two letters, a lone emoji).
+_TOKENS = st.one_of(
+    st.text(_CHARACTERS, max_size=8),
+    st.from_regex(r"[0-9]{1,5}", fullmatch=True),
+    st.sampled_from(["http://x.example/a", "@user", "a", "Ab", "🔥", "--"]),
+)
+
+_TEXTS_DRAWN = st.lists(_TOKENS, max_size=6).map(" ".join)
+
+
+class TestSignaturesProperty:
+    """The kernel equals the string tri-gram formula on drawn texts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_TEXTS_DRAWN, min_size=1, max_size=12),
+        st.sampled_from([4, minhash._TABLE_CAP]),
+    )
+    def test_equals_reference_text_by_text(self, texts, cap):
+        # At a cap of 4 nearly every chunk after the first starts the
+        # table over.
+        with mock.patch.object(minhash, "_TABLE_CAP", cap):
+            hasher = MinHasher(seed=8)
+            got = [hasher.signatures(texts), hasher.signatures(texts[::-1])]
+        assert got == [
+            [_reference_signature(hasher, t) for t in texts],
+            [_reference_signature(hasher, t) for t in texts[::-1]],
+        ]
 
 
 class TestGoldenSignature:
