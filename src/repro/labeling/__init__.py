@@ -13,6 +13,7 @@ from .pipeline import (
 from .rules import (
     SPAM_RULES,
     StreamContext,
+    TweetText,
     is_rule_spam,
     is_seed_account,
     matching_rules,
@@ -30,6 +31,7 @@ __all__ = [
     "MinHasher",
     "SPAM_RULES",
     "StreamContext",
+    "TweetText",
     "dhash",
     "dhash_many",
     "find_suspended",

@@ -26,11 +26,33 @@ def group_near_duplicates(
 ) -> list[list[int]]:
     """Group indices of near-duplicate tweets per 1-day window.
 
-    Normalization and windowing run in the parent (cheap, and the
-    ``Tweet`` objects stay out of the pickle stream); the MinHash
-    signatures — the hot loop — run once per distinct normalized text
-    and fan out over ``workers`` pool processes (0 = sequential;
-    ``None`` defers to the ambient
+    Derives each tweet's dedup form and defers to
+    :func:`group_dedup_forms`.
+    """
+    return group_dedup_forms(
+        tweets,
+        [normalize_text_for_dedup(tweet.text) for tweet in tweets],
+        hasher,
+        window_s,
+        workers,
+    )
+
+
+def group_dedup_forms(
+    tweets: list[Tweet],
+    dedup: list[str],
+    hasher: MinHasher | None = None,
+    window_s: float = SECONDS_PER_DAY,
+    workers: int | None = None,
+) -> list[list[int]]:
+    """:func:`group_near_duplicates` given each tweet's dedup form.
+
+    ``dedup[i]`` is ``normalize_text_for_dedup(tweets[i].text)``, which
+    the labeler derives once for every stage that reads it.  Windowing
+    runs in the parent (cheap, and the ``Tweet`` objects stay out of
+    the pickle stream); the MinHash signatures — the hot loop — run
+    once per distinct dedup form and fan out over ``workers`` pool
+    processes (0 = sequential; ``None`` defers to the ambient
     :func:`repro.parallel.resolve_workers` rule).  Tweets group when
     their window and signature agree
     (:func:`repro.labeling.minhash.group_signatures`), so the groups
@@ -41,22 +63,15 @@ def group_near_duplicates(
         first-appearance order; a group never spans two windows.
     """
     hasher = hasher or MinHasher()
-    eligible: list[tuple[int, int, str]] = []
-    for idx, tweet in enumerate(tweets):
-        if len(tweet.text) < MIN_CONTENT_LENGTH:
-            continue
-        normalized = normalize_text_for_dedup(tweet.text)
-        if len(normalized) < 3:
-            continue
-        window = int(tweet.created_at // window_s)
-        eligible.append((idx, window, normalized))
+    eligible = [
+        (idx, int(tweet.created_at // window_s))
+        for idx, tweet in enumerate(tweets)
+        if len(tweet.text) >= MIN_CONTENT_LENGTH and len(dedup[idx]) >= 3
+    ]
     signatures = _distinct_signatures(
-        [normalized for __, __, normalized in eligible],
-        hasher,
-        workers,
-        "neardup",
+        [dedup[idx] for idx, __ in eligible], hasher, workers, "neardup"
     )
     groups = group_signatures(
-        signatures, scopes=[window for __, window, __ in eligible]
+        signatures, scopes=[window for __, window in eligible]
     )
     return [[eligible[i][0] for i in members] for members in groups]

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..features.content import normalize_text_for_dedup
 from ..obs import get_event_stream, get_registry, trace
 from ..twittersim.api.rest import RestClient
 from ..twittersim.entities import Tweet
@@ -34,9 +35,10 @@ from ..twittersim.images import DEFAULT_IMAGE_ID
 from .dhash import dhash_many, group_by_dhash
 from .manual import ManualChecker
 from .minhash import MinHasher, group_by_signature
-from .neardup import group_near_duplicates
+from .neardup import group_dedup_forms
 from .rules import (
     StreamContext,
+    TweetText,
     is_rule_spam,
     is_seed_account,
     symbol_affiliation_spam,
@@ -164,6 +166,9 @@ class GroundTruthLabeler:
         if not tweets:
             raise ValueError("cannot label an empty tweet set")
         tweets = sorted(tweets, key=lambda t: t.created_at)
+        # Each tweet's dedup form, derived once for the repeat counts,
+        # the repetition and bot rules and the near-duplicate groups.
+        dedup = [normalize_text_for_dedup(t.text) for t in tweets]
         authors = [t.user.user_id for t in tweets]
         unique_users = list(dict.fromkeys(authors))
         profile_of = {t.user.user_id: t.user for t in tweets}
@@ -178,7 +183,6 @@ class GroundTruthLabeler:
 
         spam_user: dict[int, str] = {}
         spam_tweet: dict[int, str] = {}
-        nonspam_tweet: set[int] = set()
 
         def mark_user(uid: int, method: str) -> None:
             if uid not in spam_user:
@@ -235,8 +239,8 @@ class GroundTruthLabeler:
                     unique_users, profile_of, name_groups
                 )
                 with trace("label.neardup") as ndspan:
-                    tweet_groups = group_near_duplicates(
-                        tweets, self.hasher, workers=self.workers
+                    tweet_groups = group_dedup_forms(
+                        tweets, dedup, self.hasher, workers=self.workers
                     )
                     ndspan.set(groups=len(tweet_groups))
                 self._propagate(
@@ -256,15 +260,19 @@ class GroundTruthLabeler:
                 before = (len(spam_tweet), len(spam_user))
                 ctx = StreamContext()
                 for i, tweet in enumerate(tweets):
-                    already = i in spam_tweet
-                    if not already:
-                        if is_seed_account(tweet):
-                            nonspam_tweet.add(i)
-                        elif is_rule_spam(tweet, ctx) or i in symbol_spam:
-                            spam_tweet[i] = "rule_based"
-                            if tweet.user.user_id not in spam_user:
-                                spam_user[tweet.user.user_id] = "rule_based"
-                    ctx.observe(tweet)
+                    # Seed accounts are whitelisted non-spam.
+                    if (
+                        i not in spam_tweet
+                        and not is_seed_account(tweet)
+                        and (
+                            i in symbol_spam
+                            or is_rule_spam(TweetText(tweet, dedup[i]), ctx)
+                        )
+                    ):
+                        spam_tweet[i] = "rule_based"
+                        if tweet.user.user_id not in spam_user:
+                            spam_user[tweet.user.user_id] = "rule_based"
+                    ctx.fold(tweet, dedup[i])
                 stage_span(span, "rule_based", before)
 
         # -- Stage 4: manual checking ------------------------------------

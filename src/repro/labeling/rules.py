@@ -2,9 +2,9 @@
 
 The paper lists eleven spam conditions, a seed-account whitelist for
 non-spam, and an affiliation-symbol rule.  Each condition is a
-standalone predicate over a tweet (with a little stream context), so
-individual rules are unit-testable and the pipeline can report which
-rule fired.
+standalone predicate over one tweet's :class:`TweetText` (with a little
+stream context), so individual rules are unit-testable and the
+pipeline can report which rule fired.
 """
 
 from __future__ import annotations
@@ -25,113 +25,146 @@ _ADULT = frozenset(SPAM_KEYWORD_CLASSES["adult"])
 _PROMO = frozenset(SPAM_KEYWORD_CLASSES["promo"])
 _DECEPTION = frozenset(SPAM_KEYWORD_CLASSES["deception"])
 _OFFENSIVE = frozenset({"explicit", "xxx", "offensive", "hate"})
+_BAIT = _MONEY | _PROMO | _ADULT | _DECEPTION
 
 
-def _words(tweet: Tweet) -> set[str]:
-    return {
-        token.strip(".,!?#").lower()
-        for token in tweet.text.split()
-        if not token.startswith("@") and not token.startswith("http")
-    }
+class TweetText:
+    """What the rules read of one tweet's text, each derived once.
+
+    Attributes:
+        tweet: the tweet itself.
+        dedup: its :func:`normalize_text_for_dedup` form, the key of
+            the stream's repeat counts.
+        tokens: its text split on whitespace.
+        words: its lowercased tokens, mentions and URLs left out and
+            ``.,!?#`` stripped from both ends.
+    """
+
+    __slots__ = ("tweet", "dedup", "tokens", "words")
+
+    def __init__(self, tweet: Tweet, dedup: str) -> None:
+        self.tweet = tweet
+        self.dedup = dedup
+        self.tokens = tweet.text.split()
+        self.words = {
+            token.strip(".,!?#").lower()
+            for token in self.tokens
+            if not token.startswith(("@", "http"))
+        }
+
+    @classmethod
+    def of(cls, tweet: Tweet) -> TweetText:
+        """The facts of a tweet whose dedup form is not yet derived."""
+        return cls(tweet, normalize_text_for_dedup(tweet.text))
 
 
 @dataclass
 class StreamContext:
     """Cross-tweet context the repetition and bot rules need."""
 
+    #: Tweets seen per dedup form.
     text_counts: Counter = field(default_factory=Counter)
     #: Prior interaction pairs (sender, receiver) seen in the stream.
     known_pairs: set[tuple[int, int]] = field(default_factory=set)
 
     def observe(self, tweet: Tweet) -> None:
         """Fold a tweet into the context (call after evaluating it)."""
-        self.text_counts[normalize_text_for_dedup(tweet.text)] += 1
+        self.fold(tweet, normalize_text_for_dedup(tweet.text))
+
+    def fold(self, tweet: Tweet, dedup: str) -> None:
+        """:meth:`observe` a tweet whose dedup form is derived."""
+        self.text_counts[dedup] += 1
+        sender = tweet.user.user_id
         for mention in tweet.mentions:
-            self.known_pairs.add((tweet.user.user_id, mention.user_id))
+            self.known_pairs.add((sender, mention.user_id))
 
 
 # --- The 11 spam conditions -------------------------------------------------
 
 
-def rule_malicious_url(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_malicious_url(text: TweetText, ctx: StreamContext) -> bool:
     """1) has a malicious URL (blacklist hit)."""
-    return any(is_malicious_url(url) for url in tweet.urls)
+    return any(is_malicious_url(url) for url in text.tweet.urls)
 
 
-def rule_repetitive(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_repetitive(text: TweetText, ctx: StreamContext) -> bool:
     """2) includes repetitive information (same content >= 3 times)."""
-    return ctx.text_counts[normalize_text_for_dedup(tweet.text)] >= 3
+    return ctx.text_counts[text.dedup] >= 3
 
 
-def rule_deceptive(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_deceptive(text: TweetText, ctx: StreamContext) -> bool:
     """3) includes deceptive information (phishing-style keywords)."""
-    return len(_words(tweet) & _DECEPTION) >= 2
+    return len(text.words & _DECEPTION) >= 2
 
 
-def rule_pertinence(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_pertinence(text: TweetText, ctx: StreamContext) -> bool:
     """4) has pertinence purpose: unsolicited targeted promotion."""
-    return bool(tweet.mentions) and len(_words(tweet) & _PROMO) >= 2
+    return bool(text.tweet.mentions) and len(text.words & _PROMO) >= 2
 
 
-def rule_meaningless(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_meaningless(text: TweetText, ctx: StreamContext) -> bool:
     """5) includes many meaningless contents (symbol/digit-dominated)."""
     words = [
         token
-        for token in tweet.text.split()
+        for token in text.tokens
         if not token.startswith(("@", "http", "#"))
     ]
     if len(words) > 4:
         return False
-    noise = count_emoji(tweet.text) + count_digits(tweet.text)
-    return noise >= 6
+    raw = text.tweet.text
+    return count_emoji(raw) + count_digits(raw) >= 6
 
 
-def rule_money(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_money(text: TweetText, ctx: StreamContext) -> bool:
     """6) promises free or quick money gain."""
-    return len(_words(tweet) & _MONEY) >= 2
+    return len(text.words & _MONEY) >= 2
 
 
-def rule_adult(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_adult(text: TweetText, ctx: StreamContext) -> bool:
     """7) includes adult content."""
-    return len(_words(tweet) & _ADULT) >= 1
+    return not text.words.isdisjoint(_ADULT)
 
 
-def rule_bot_automation(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_bot_automation(text: TweetText, ctx: StreamContext) -> bool:
     """8) automatic bot/app tweet with malicious signals.
 
     Third-party client + templated (repeated) content + a near-instant
     reaction time is the bot signature.
     """
+    tweet = text.tweet
     if tweet.source is not TweetSource.THIRD_PARTY:
         return False
-    repeated = ctx.text_counts[normalize_text_for_dedup(tweet.text)] >= 2
+    repeated = ctx.text_counts[text.dedup] >= 2
     mention_time = tweet.mention_time()
     instant = mention_time is not None and mention_time < 120.0
     return repeated and instant
 
 
-def rule_malicious_promoter(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_malicious_promoter(text: TweetText, ctx: StreamContext) -> bool:
     """9) from malicious promoters: promo keywords plus a link."""
-    return bool(tweet.urls) and len(_words(tweet) & _PROMO) >= 1 and any(
-        is_malicious_url(url) for url in tweet.urls
+    urls = text.tweet.urls
+    return (
+        bool(urls)
+        and not text.words.isdisjoint(_PROMO)
+        and any(is_malicious_url(url) for url in urls)
     )
 
 
-def rule_friend_infiltrator(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_friend_infiltrator(text: TweetText, ctx: StreamContext) -> bool:
     """10) friend infiltrators: cold-mention strangers with spam bait."""
+    tweet = text.tweet
     if not tweet.mentions:
         return False
     sender = tweet.user.user_id
     cold = all(
         (sender, m.user_id) not in ctx.known_pairs for m in tweet.mentions
     )
-    baity = len(_words(tweet) & (_MONEY | _PROMO | _ADULT | _DECEPTION)) >= 2
-    return cold and baity
+    return cold and len(text.words & _BAIT) >= 2
 
 
-def rule_offensive(tweet: Tweet, ctx: StreamContext) -> bool:
+def rule_offensive(text: TweetText, ctx: StreamContext) -> bool:
     """11) includes sensitive or offensive contents."""
-    return len(_words(tweet) & _OFFENSIVE) >= 1
+    return not text.words.isdisjoint(_OFFENSIVE)
 
 
 SPAM_RULES = (
@@ -151,12 +184,13 @@ SPAM_RULES = (
 
 def matching_rules(tweet: Tweet, ctx: StreamContext) -> list[str]:
     """Names of all spam rules a tweet triggers."""
-    return [rule.__name__ for rule in SPAM_RULES if rule(tweet, ctx)]
+    text = TweetText.of(tweet)
+    return [rule.__name__ for rule in SPAM_RULES if rule(text, ctx)]
 
 
-def is_rule_spam(tweet: Tweet, ctx: StreamContext) -> bool:
+def is_rule_spam(text: TweetText, ctx: StreamContext) -> bool:
     """True if any of the 11 conditions fires."""
-    return any(rule(tweet, ctx) for rule in SPAM_RULES)
+    return any(rule(text, ctx) for rule in SPAM_RULES)
 
 
 # --- Non-spam seeds and the affiliation-symbol rule -------------------------

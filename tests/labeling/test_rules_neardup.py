@@ -5,6 +5,7 @@ from repro.labeling.neardup import MIN_CONTENT_LENGTH, group_near_duplicates
 from repro.labeling.rules import (
     SPAM_RULES,
     StreamContext,
+    TweetText,
     is_rule_spam,
     is_seed_account,
     matching_rules,
@@ -89,77 +90,82 @@ class TestNearDuplicates:
         assert 2 not in flattened
 
 
+def text(*args, **kwargs) -> TweetText:
+    """The rules' view of a :func:`tweet`."""
+    return TweetText.of(tweet(*args, **kwargs))
+
+
 class TestRules:
     def setup_method(self):
         self.ctx = StreamContext()
 
     def test_rule_malicious_url(self):
         assert rule_malicious_url(
-            tweet("check http://free-cash.example/x"), self.ctx
+            text("check http://free-cash.example/x"), self.ctx
         )
         assert not rule_malicious_url(
-            tweet("check http://news.example/x"), self.ctx
+            text("check http://news.example/x"), self.ctx
         )
 
     def test_rule_repetitive(self):
         spam = "exact same message repeated many times"
         for i in range(3):
             self.ctx.observe(tweet(spam, at=float(i)))
-        assert rule_repetitive(tweet(spam, at=9.0), self.ctx)
-        assert not rule_repetitive(tweet("fresh message", at=9.0), self.ctx)
+        assert rule_repetitive(text(spam, at=9.0), self.ctx)
+        assert not rule_repetitive(text("fresh message", at=9.0), self.ctx)
 
     def test_rule_deceptive(self):
         assert rule_deceptive(
-            tweet("urgent verify your account password now"), self.ctx
+            text("urgent verify your account password now"), self.ctx
         )
-        assert not rule_deceptive(tweet("nice weather today"), self.ctx)
+        assert not rule_deceptive(text("nice weather today"), self.ctx)
 
     def test_rule_money(self):
-        assert rule_money(tweet("earn free cash instantly"), self.ctx)
-        assert not rule_money(tweet("free weekend plans"), self.ctx)
+        assert rule_money(text("earn free cash instantly"), self.ctx)
+        assert not rule_money(text("free weekend plans"), self.ctx)
 
     def test_rule_adult(self):
-        assert rule_adult(tweet("hot singles near you"), self.ctx)
+        assert rule_adult(text("hot singles near you"), self.ctx)
 
     def test_rule_meaningless(self):
-        assert rule_meaningless(tweet("🔥🔥🔥 111 222 🔥"), self.ctx)
+        assert rule_meaningless(text("🔥🔥🔥 111 222 🔥"), self.ctx)
         assert not rule_meaningless(
-            tweet("an actual sentence with real content"), self.ctx
+            text("an actual sentence with real content"), self.ctx
         )
 
     def test_rule_bot_automation(self):
         template = "promo blast identical text for bots"
         self.ctx.observe(tweet(template, at=0.0))
         self.ctx.observe(tweet(template, at=1.0))
-        fast_bot = tweet(
+        fast_bot = text(
             template,
             at=50.0,
             source=TweetSource.THIRD_PARTY,
             reply_at=10.0,
         )
         assert rule_bot_automation(fast_bot, self.ctx)
-        slow_human = tweet(
+        slow_human = text(
             template, at=50_000.0, source=TweetSource.WEB, reply_at=10.0
         )
         assert not rule_bot_automation(slow_human, self.ctx)
 
     def test_rule_malicious_promoter(self):
         assert rule_malicious_promoter(
-            tweet("big discount deal http://click4gold.example/x"), self.ctx
+            text("big discount deal http://click4gold.example/x"), self.ctx
         )
         assert not rule_malicious_promoter(
-            tweet("big discount deal http://news.example/x"), self.ctx
+            text("big discount deal http://news.example/x"), self.ctx
         )
 
     def test_rule_friend_infiltrator(self):
-        cold = tweet(
+        cold = text(
             "free bonus cash for you",
             mentions=(Mention(9, "user9"),),
         )
         assert rule_friend_infiltrator(cold, self.ctx)
         # After observed interaction the pair is warm.
-        self.ctx.observe(cold)
-        warm = tweet(
+        self.ctx.observe(cold.tweet)
+        warm = text(
             "free bonus cash again",
             mentions=(Mention(9, "user9"),),
         )
@@ -177,7 +183,7 @@ class TestRules:
         assert "rule_malicious_url" in names
 
     def test_benign_tweet_matches_nothing(self):
-        benign = tweet("lovely walk in the park this morning")
+        benign = text("lovely walk in the park this morning")
         assert not is_rule_spam(benign, self.ctx)
 
 
