@@ -3,9 +3,7 @@
 Two texts are the same exactly when their signatures agree (§IV-B), so
 grouping needs no candidate scan.  The contract under test: groups
 come out in first-appearance order with members ascending, never span
-two scopes, and are byte-stable at any worker count.  (The file and
-``TestGroupSignaturesBanded`` are named for the LSH band buckets that
-grouping used to go through.)
+two scopes, and are byte-stable at any worker count.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ def clean_obs():
     reset()
 
 
-class TestGroupSignaturesBanded:
-    def test_exact_mode_matches_full_signature_bucketing(self):
+class TestGroupSignatures:
+    def test_groups_full_signature_matches(self):
         signatures = [
             (1, 2, 3, 4),
             (9, 9, 9, 9),
