@@ -89,7 +89,7 @@ class MinHasher:
         seed: seeds the hash coefficients ``a`` and ``b``.
     """
 
-    def __init__(self, n_hashes: int = 16, seed: int = 0) -> None:
+    def __init__(self, n_hashes: int = 16, *, seed: int = 0) -> None:
         if n_hashes < 1:
             raise ValueError("n_hashes must be >= 1")
         self.n_hashes = n_hashes

@@ -96,7 +96,7 @@ class TestSignaturesMatchReference:
         [pytest.param(16, 0, id="16-3-0"), pytest.param(32, 5, id="32-3-5")],
     )
     def test_signatures(self, n_hashes, seed):
-        hasher = MinHasher(n_hashes, seed)
+        hasher = MinHasher(n_hashes, seed=seed)
         expected = [_reference_signature(hasher, t) for t in _TEXTS]
         assert hasher.signatures(_TEXTS) == expected
         # Served from the now-filled table, and one text at a time.
