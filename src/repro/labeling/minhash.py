@@ -29,7 +29,6 @@ hashed as the short string itself.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from hashlib import blake2b
 
 import numpy as np
@@ -227,10 +226,15 @@ def group_signatures(
     """
     if scopes is None:
         scopes = [None] * len(signatures)
-    buckets: dict[tuple, list[int]] = defaultdict(list)
+    # Each key's first index, and a list only for a key that repeats:
+    # most texts are distinct, so most keys never need one.
+    first: dict[tuple, int] = {}
+    groups: dict[int, list[int]] = {}
     for idx, key in enumerate(zip(scopes, signatures)):
-        buckets[key].append(idx)
-    return [members for members in buckets.values() if len(members) >= 2]
+        head = first.setdefault(key, idx)
+        if head != idx:
+            groups.setdefault(head, [head]).append(idx)
+    return [groups[head] for head in sorted(groups)]
 
 
 def _distinct_signatures(

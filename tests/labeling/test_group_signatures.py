@@ -41,6 +41,9 @@ class TestGroupSignatures:
         # First-appearance order, members ascending; agreeing on all
         # but one minimum is not the same text.
         assert groups == [[0, 2, 5], [1, 4]]
+        # A group whose second member comes first still sorts by its
+        # first member.
+        assert group_signatures([(1,), (2,), (2,), (1,)]) == [[0, 3], [1, 2]]
 
     def test_scopes_split_groups(self):
         signatures = [(1, 2), (1, 2), (1, 2)]
