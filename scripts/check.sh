@@ -96,13 +96,16 @@ echo "== service soak (always-on sniffer under faults) =="
 #
 #     scored + dropped + lost + in_flight == ground truth
 #
-# with every executed fault kind surfaced as its health alert.  Full
-# mode sweeps 2 plans per seed; --fast runs a 1-plan smoke.  The soak
+# with every executed fault kind surfaced as its health alert, and the
+# cyclic collector handed back unfrozen (run_network freezes the world
+# for each served hour).  Full mode sweeps 2 plans per seed; --fast
+# runs a 1-plan smoke.  The soak
 # log lands in results/service_soak.jsonl (gitignored; CI uploads it
 # as an artifact next to the run logs).
 SOAK_PLANS=2
 [[ "$fast" == "1" ]] && SOAK_PLANS=1
 SOAK_PLANS="$SOAK_PLANS" PYTHONPATH=src python - <<'EOF'
+import gc
 import json
 import os
 from pathlib import Path
@@ -120,6 +123,11 @@ for seed in (7, 23):
         )
         outcome = run_service_soak(seed, plan, hours=5)
         outcomes.append(outcome)
+        frozen = gc.get_freeze_count()
+        assert frozen == 0, (
+            f"soak seed {seed} plan {variant} left {frozen} objects "
+            "frozen out of the cyclic collector"
+        )
         assert outcome.reconciled, (
             f"soak seed {seed} plan {variant} does not reconcile: "
             f"{outcome.to_dict()}"

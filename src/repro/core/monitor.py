@@ -134,17 +134,24 @@ class PseudoHoneypotMonitor:
             if author_node is not None
             else CaptureCategory.MENTION
         )
+        if len(crossed) == 1:
+            # Most captures cross one node: nothing to deduplicate.
+            attribute_keys = (crossed[0].attribute_key,)
+            sample_labels = (crossed[0].sample_label,)
+        else:
+            attribute_keys = tuple(
+                dict.fromkeys(n.attribute_key for n in crossed)
+            )
+            sample_labels = tuple(
+                dict.fromkeys(n.sample_label for n in crossed)
+            )
         self.captured.append(
             CapturedTweet(
                 tweet=tweet,
                 hour=self._hour,
                 capture_category=category,
-                attribute_keys=tuple(
-                    dict.fromkeys(n.attribute_key for n in crossed)
-                ),
-                sample_labels=tuple(
-                    dict.fromkeys(n.sample_label for n in crossed)
-                ),
+                attribute_keys=attribute_keys,
+                sample_labels=sample_labels,
                 node_user_ids=tuple(n.user_id for n in crossed),
                 backfilled=backfilled,
             )

@@ -499,6 +499,7 @@ class AttributeSelector:
         nodes: list[HoneypotNode],
         value_cache: dict[str, np.ndarray] | None = None,
     ) -> int:
+        count = target.count
         matches: list[tuple[float, int, int]] = []
         log_tol = math.log(self.tolerance)
         if value_cache is None:
@@ -532,6 +533,8 @@ class AttributeSelector:
         with np.errstate(invalid="ignore"):
             approx = np.abs(logs - math.log(target.value))
         near = np.nonzero((values > 0) & (approx <= log_tol + 1e-6))[0]
+        near_approx = approx[near]
+        order = np.argsort(near_approx, kind="stable")
         # The confirm loop runs over plain Python floats/ints: the
         # unboxed values are cached per attribute key, so repeated
         # targets pay only the loop itself.
@@ -541,16 +544,29 @@ class AttributeSelector:
             vals = value_cache[vals_key] = values.tolist()
         uids = candidates.uids
         target_value = target.value
-        for ii in near.tolist():
+        # Confirm in ascending approximate distance.  Once ``count``
+        # matches are confirmed, none of them lies farther than
+        # ``bound`` minus the slack, and a candidate whose approximate
+        # distance exceeds ``bound`` lies strictly farther than all of
+        # them, as does every candidate after it: the walk stops there.
+        # (A ``count`` of 0 never sets it, and keeps no match.)
+        bound = math.inf
+        for ii, near_distance in zip(
+            near[order].tolist(), near_approx[order].tolist()
+        ):
+            if near_distance > bound:
+                break
             uid = uids[ii]
             if uid in used:
                 continue
             distance = abs(math.log(vals[ii] / target_value))
             if distance <= log_tol:
                 matches.append((distance, uid, ii))
+                if len(matches) == count:
+                    bound = max(entry[0] for entry in matches) + 1e-6
         matches.sort(key=lambda entry: (entry[0], entry[1]))
         got = 0
-        for __, uid, ii in matches[: target.count]:
+        for __, uid, ii in matches[:count]:
             nodes.append(
                 HoneypotNode(
                     user_id=uid,

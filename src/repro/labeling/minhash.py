@@ -29,6 +29,7 @@ hashed as the short string itself.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from hashlib import blake2b
 
 import numpy as np
@@ -75,11 +76,14 @@ class MinHasher:
     """k-function MinHash signatures over character tri-grams.
 
     :meth:`signatures` is the batch kernel and the one way to sign
-    texts.  The k hash values of every distinct shingle are kept in a
-    bounded per-hasher table (tri-grams draw from a small alphabet:
-    labeling the train benchmark's ~9.7k tweets meets about 1.2k
-    distinct shingles among ~0.7M occurrences), whose rows are found
-    by a sorted search over the packed tri-gram codes.  The table is a
+    texts; it strips them and signs the stripped forms through
+    ``_sign_stripped``, which a caller holding them already (the
+    description grouping) calls directly.  The k hash values of every
+    distinct shingle are kept in a bounded per-hasher table (tri-grams
+    draw from a small alphabet: labeling the train benchmark's ~9.7k
+    tweets meets about 1.2k distinct shingles among ~0.7M
+    occurrences), whose rows are found by a sorted search over the
+    packed tri-gram codes.  The table is a
     pure cache that never changes a signature, and it is left out of
     pickled state, so a hasher shipped to a pool worker starts empty.
 
@@ -147,10 +151,9 @@ class MinHasher:
         self._sorter = np.argsort(self._codes)
         return np.arange(start, end)
 
-    def _signature_chunk(self, texts: list[str]) -> list[tuple[int, ...]]:
+    def _signature_chunk(self, stripped: list[str]) -> list[tuple[int, ...]]:
         if len(self._codes) >= _TABLE_CAP:
             self._clear_table()
-        stripped = [strip_for_shingling(text) for text in texts]
         lengths = np.fromiter(
             map(len, stripped), dtype=np.intp, count=len(stripped)
         )
@@ -186,15 +189,25 @@ class MinHasher:
     def signatures(self, texts: list[str]) -> list[tuple[int, ...]]:
         """MinHash signatures of ``texts``, in order.
 
+        Each text is stripped for shingling (:func:`strip_for_shingling`)
+        and signed by :meth:`_sign_stripped`.
+        """
+        return self._sign_stripped(
+            [strip_for_shingling(text) for text in texts]
+        )
+
+    def _sign_stripped(self, stripped: list[str]) -> list[tuple[int, ...]]:
+        """Signatures of texts already stripped for shingling.
+
         Each chunk of at most 256 texts costs one gather of its
         shingles' table rows and one ``np.minimum.reduceat`` over them;
         only shingles new to the table are hashed.
         """
         return [
             signature
-            for start in range(0, len(texts), _CHUNK)
+            for start in range(0, len(stripped), _CHUNK)
             for signature in self._signature_chunk(
-                texts[start : start + _CHUNK]
+                stripped[start : start + _CHUNK]
             )
         ]
 
@@ -239,18 +252,20 @@ def group_signatures(
 
 def _distinct_signatures(
     texts: list[str],
-    hasher: MinHasher,
+    sign: Callable[[list[str]], list[tuple[int, ...]]],
     workers: int | None,
     label: str,
 ) -> list[tuple[int, ...]]:
     """Signatures of ``texts``, hashing each distinct string once.
 
-    The signature is a pure function of the text and campaign blasts
+    ``sign`` is a hasher's :meth:`MinHasher.signatures`, or its
+    ``_sign_stripped`` for texts already stripped for shingling.  The
+    signature is a pure function of the text and campaign blasts
     repeat texts heavily, so signatures are computed per distinct
     string (in first-appearance order) and fanned back out.  The
     distinct strings go to ``workers`` in chunks of at most 256, one
-    :meth:`MinHasher.signatures` call each, so results are
-    positionally identical at any worker count.
+    ``sign`` call each, so results are positionally identical at any
+    worker count.
     """
     slot_of: dict[str, int] = {}
     distinct: list[str] = []
@@ -264,9 +279,7 @@ def _distinct_signatures(
     ]
     computed = [
         signature
-        for batch in parallel_map(
-            hasher.signatures, chunks, workers=workers, label=label
-        )
+        for batch in parallel_map(sign, chunks, workers=workers, label=label)
         for signature in batch
     ]
     return [computed[slot_of[text]] for text in texts]
@@ -293,15 +306,17 @@ def group_by_signature(
         order.
     """
     hasher = hasher or MinHasher()
-    eligible = [
-        (idx, text)
-        for idx, text in enumerate(texts)
-        if strip_for_shingling(text)
-    ]
+    # Each text is stripped once: the form both drops blank bios and is
+    # what the hasher signs.
+    stripped = [strip_for_shingling(text) for text in texts]
+    eligible = [idx for idx, form in enumerate(stripped) if form]
     signatures = _distinct_signatures(
-        [text for __, text in eligible], hasher, workers, "minhash"
+        [stripped[idx] for idx in eligible],
+        hasher._sign_stripped,
+        workers,
+        "minhash",
     )
     return [
-        [eligible[i][0] for i in members]
+        [eligible[i] for i in members]
         for members in group_signatures(signatures)
     ]

@@ -69,7 +69,10 @@ def group_dedup_forms(
         if len(tweet.text) >= MIN_CONTENT_LENGTH and len(dedup[idx]) >= 3
     ]
     signatures = _distinct_signatures(
-        [dedup[idx] for idx, __ in eligible], hasher, workers, "neardup"
+        [dedup[idx] for idx, __ in eligible],
+        hasher.signatures,
+        workers,
+        "neardup",
     )
     groups = group_signatures(
         signatures, scopes=[window for __, window in eligible]

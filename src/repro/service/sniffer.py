@@ -33,6 +33,7 @@ instrument, keeping ``results/obs_smoke.json`` byte-identical.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from collections import deque
@@ -327,14 +328,31 @@ class SnifferService:
         broken streams — the backfill lands here) and the service
         drains its own queue.
 
+        Each served hour starts by freezing every object the process
+        tracks into the cyclic collector's permanent generation
+        (``gc.freeze()``), so the hour's collections traverse only the
+        objects it allocates: the world is long-lived and a full
+        collection of it frees nothing.  When the loop returns or
+        raises, ``gc.unfreeze()`` hands the objects back to the oldest
+        generation.  A caller that froze objects itself keeps its
+        freeze: then the collector is left alone.
+
         Raises:
             RuntimeError: if the network was never deployed.
         """
         if not network.deployed:
             raise RuntimeError("deploy() the network before serving it")
-        for __ in range(hours):
-            network.run_hour()
-            self._poll(network)
+        # An unfreeze releases every frozen object, a caller's too.
+        freezes = gc.get_freeze_count() == 0
+        try:
+            for __ in range(hours):
+                if freezes:
+                    gc.freeze()
+                network.run_hour()
+                self._poll(network)
+        finally:
+            if freezes:
+                gc.unfreeze()
         network.shutdown()
         self._poll(network)
         self._drain()

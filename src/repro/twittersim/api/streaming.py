@@ -62,7 +62,9 @@ def parse_track_term(term: str) -> str:
             f"track term {term!r} must be of the form '@screen_name'"
         )
     name = term[1:]
-    if any(ch.isspace() for ch in name):
+    # str.split() cuts at exactly the characters str.isspace() accepts,
+    # so a name without whitespace is its own only part.
+    if name.split() != [name]:
         raise InvalidFilterError(f"track term {term!r} contains whitespace")
     return name
 
@@ -210,9 +212,13 @@ class FilteredStream:
         self.listener.on_tweet(tweet)
 
     def _matches(self, tweet: Tweet) -> bool:
-        if tweet.user.screen_name in self._tracked:
+        tracked = self._tracked
+        if tweet.user.screen_name in tracked:
             return True
-        return any(m.screen_name in self._tracked for m in tweet.mentions)
+        for mention in tweet.mentions:
+            if mention.screen_name in tracked:
+                return True
+        return False
 
 
 class StreamingClient:

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.attributes import PROFILE_ATTRIBUTE_BY_KEY
 from repro.core.portability import ActivityPolicy
@@ -109,6 +112,116 @@ class TestProfileSelection:
         nodes = selector.select(plan, engine.clock.now)
         assert nodes == []
         assert selector.last_report.shortfalls
+
+
+class _Candidates:
+    """The two reads ``_select_profile`` makes of a candidate set whose
+    attribute values it finds in its value cache."""
+
+    def __init__(self, uids: list[int]) -> None:
+        self.uids = uids
+
+    def screen_name(self, i: int) -> str:
+        return f"user{self.uids[i]}"
+
+
+def confirm_all_and_sort(values, uids, target_value, count, used, tolerance):
+    """The profile match written out: confirm every prefiltered
+    candidate, sort all matches by distance then uid, keep ``count``."""
+    log_tol = math.log(tolerance)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        approx = np.abs(np.log(values) - math.log(target_value))
+    near = np.nonzero((values > 0) & (approx <= log_tol + 1e-6))[0]
+    vals = values.tolist()
+    matches = []
+    for ii in near.tolist():
+        if uids[ii] in used:
+            continue
+        distance = abs(math.log(vals[ii] / target_value))
+        if distance <= log_tol:
+            matches.append((distance, uids[ii]))
+    matches.sort()
+    return [uid for __, uid in matches[:count]]
+
+
+@st.composite
+def candidate_sets(draw):
+    """Attribute values with many exact ties (small integers, zero
+    included) and some spread, under shuffled distinct uids, a part of
+    them already used."""
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 40).map(float),
+                st.floats(0.01, 400.0),
+            ),
+            max_size=80,
+        )
+    )
+    uids = draw(
+        st.lists(
+            st.integers(1, 10**6),
+            min_size=len(values),
+            max_size=len(values),
+            unique=True,
+        )
+    )
+    used = {uid for uid in uids if draw(st.booleans())}
+    return np.array(values, dtype=np.float64), uids, used
+
+
+class TestProfileWalk:
+    """``_select_profile`` confirms candidates in ascending approximate
+    distance and stops once no later one can make the cut; it must pick
+    the nodes, in the order, of confirming and sorting every match."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        candidate_sets(),
+        st.sampled_from([1.0, 3.0, 10.0, 20.0, 37.5, 100.0]),
+        st.integers(0, 12),
+        st.sampled_from([1.05, 1.6, 3.0]),
+    )
+    def test_walk_picks_what_a_full_sort_picks(
+        self, candidates, target_value, count, tolerance
+    ):
+        values, uids, used = candidates
+        expected = confirm_all_and_sort(
+            values, uids, target_value, count, used, tolerance
+        )
+        spec = PROFILE_ATTRIBUTE_BY_KEY["friends_count"]
+        selector = AttributeSelector(None, tolerance=tolerance)
+        nodes = []
+        taken = set(used)
+        got = selector._select_profile(
+            ProfileTarget(spec, target_value, count),
+            0.0,
+            _Candidates(uids),
+            taken,
+            nodes,
+            {spec.key: values},
+        )
+        assert [node.user_id for node in nodes] == expected
+        assert [node.screen_name for node in nodes] == [
+            f"user{uid}" for uid in expected
+        ]
+        assert got == len(expected)
+        assert taken == used | set(expected)
+
+    def test_distance_ties_go_to_the_lower_uid(self):
+        spec = PROFILE_ATTRIBUTE_BY_KEY["friends_count"]
+        values = np.array([9.0, 11.0, 10.0, 10.0, 10.0, 10.0])
+        uids = [1, 2, 50, 40, 30, 20]
+        nodes = []
+        AttributeSelector(None)._select_profile(
+            ProfileTarget(spec, 10.0, 3),
+            0.0,
+            _Candidates(uids),
+            {30},
+            nodes,
+            {spec.key: values},
+        )
+        assert [node.user_id for node in nodes] == [20, 40, 50]
 
 
 class TestCategorySelection:

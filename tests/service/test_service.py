@@ -11,6 +11,7 @@ trees are worker-invariant by the parallel layer's contract).
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import pathlib
@@ -21,10 +22,17 @@ import numpy as np
 import pytest
 
 from repro.core.detector import PseudoHoneypotDetector
+from repro.core.network import PseudoHoneypotNetwork
+from repro.core.portability import ActivityPolicy
+from repro.core.selection import AttributeSelector, SelectionPlan
 from repro.features.extractor import FeatureExtractor
 from repro.obs import get_event_stream, get_registry, reset
 from repro.service.sniffer import ScoredTweet, SnifferService
 from repro.service.soak import synthetic_detector
+from repro.twittersim.api.rest import RestClient
+from repro.twittersim.config import SimulationConfig
+from repro.twittersim.engine import TwitterEngine
+from repro.twittersim.population import build_population
 
 #: Small enough that the fixture stream spans several batches.
 BATCH = 16
@@ -296,3 +304,99 @@ class TestLazyMetrics:
         assert counters["service.scored"] == stats.scored
         assert counters["service.dropped"] == stats.dropped
         assert counters["service.batches"] == stats.batches
+
+
+def deployed_network(seed: int = 5) -> PseudoHoneypotNetwork:
+    """A deployed small-world network, ready to serve."""
+    engine = TwitterEngine(build_population(SimulationConfig.small(seed)))
+    engine.run_hours(2)
+    network = PseudoHoneypotNetwork(
+        engine,
+        AttributeSelector(
+            RestClient(engine),
+            candidate_pool=400,
+            activity=ActivityPolicy(window_hours=6.0),
+            seed=seed,
+        ),
+        SelectionPlan.random_plan(4, 3, seed=seed + 17),
+        switch_every_hours=1,
+    )
+    network.deploy()
+    return network
+
+
+def freeze_counts_per_hour(network: PseudoHoneypotNetwork) -> dict:
+    """What a firehose subscriber sees of the collector's permanent
+    generation, once per platform hour (the count walks it)."""
+    seen: dict[int, int] = {}
+
+    def look(tweet) -> None:
+        hour = network.engine.clock.hour
+        if hour not in seen:
+            seen[hour] = gc.get_freeze_count()
+
+    network.engine.subscribe(look)
+    return seen
+
+
+class TestCollectorHandBack:
+    """``run_network`` keeps the world out of the cyclic collector
+    while it serves, and hands the collector back as it found it."""
+
+    HOURS = 3
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_served_hours_run_frozen_then_thaw(self, enabled):
+        assert gc.get_freeze_count() == 0, "a freeze leaked into the test"
+        network = deployed_network()
+        seen = freeze_counts_per_hour(network)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            stats = make_service().run_network(network, self.HOURS)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert stats.scored > 0
+        assert len(seen) == self.HOURS
+        assert all(count > 0 for count in seen.values()), seen
+        assert gc.get_freeze_count() == 0
+
+    def test_a_raising_hour_thaws_the_collector(self):
+        assert gc.get_freeze_count() == 0, "a freeze leaked into the test"
+        network = deployed_network()
+        seen = freeze_counts_per_hour(network)
+        run_hour = network.run_hour
+        hours = []
+
+        def second_hour_fails() -> None:
+            hours.append(len(hours))
+            if len(hours) == 2:
+                raise RuntimeError("the platform went away")
+            run_hour()
+
+        network.run_hour = second_hour_fails
+        with pytest.raises(RuntimeError, match="went away"):
+            make_service().run_network(network, self.HOURS)
+        assert hours == [0, 1]
+        assert len(seen) == 1 and all(seen.values()), seen
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+    def test_a_callers_freeze_is_left_alone(self):
+        assert gc.get_freeze_count() == 0, "a freeze leaked into the test"
+        network = deployed_network()
+        seen = freeze_counts_per_hour(network)
+        gc.freeze()
+        try:
+            theirs = gc.get_freeze_count()
+            make_service().run_network(network, self.HOURS)
+            after = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        # A frozen object can still die by reference count, so the
+        # caller's count may only shrink: a freeze of ours would add
+        # the hours' objects, an unfreeze of ours would zero it.
+        assert len(seen) == self.HOURS
+        assert all(0 < count <= theirs for count in seen.values())
+        assert 0 < after <= theirs

@@ -1,6 +1,8 @@
 """Tests for the filtered streaming API."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.twittersim.api.streaming import (
     MAX_TRACK_TERMS,
@@ -14,6 +16,15 @@ from repro.twittersim.errors import (
 )
 
 
+#: Every character ``str.isspace`` accepts (none lies above U+3000),
+#: and three that look like spaces but are not.
+SPACE_LIKE = [chr(c) for c in range(0x3001) if chr(c).isspace()] + [
+    "\u200b",
+    "\u180e",
+    "\ufeff",
+]
+
+
 class TestParseTrackTerm:
     def test_valid_term(self):
         assert parse_track_term("@alice") == "alice"
@@ -22,6 +33,21 @@ class TestParseTrackTerm:
     def test_invalid_terms(self, term):
         with pytest.raises(InvalidFilterError):
             parse_track_term(term)
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from(SPACE_LIKE), st.characters()
+            ),
+            min_size=1,
+        )
+    )
+    def test_whitespace_is_what_isspace_says(self, name):
+        if any(ch.isspace() for ch in name):
+            with pytest.raises(InvalidFilterError, match="whitespace"):
+                parse_track_term("@" + name)
+        else:
+            assert parse_track_term("@" + name) == name
 
 
 class TestFilteredStream:
