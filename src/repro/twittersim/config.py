@@ -29,9 +29,12 @@ class SimulationConfig:
         reply_rate: scale of organic replies per post follower-mass.
         spam_suspension_rate: per-hour probability that one live
             spammer is suspended by the platform; its campaign, if any,
-            replaces it with a fresh member.
+            replaces it with a fresh member.  In [0, 1): a respawned
+            member faces the hazard in the same hour, so at 1 every
+            suspension would respawn another without end.
         normal_suspension_rate: per-hour false-positive suspension
-            probability for a normal account (suspended != spammer).
+            probability for a normal account (suspended != spammer),
+            in [0, 1].
         no_hashtag_fraction: fraction of users that never use hashtags.
         topic_affinity_mean: mean probability that a post engages a
             platform trending topic.
@@ -86,6 +89,17 @@ class SimulationConfig:
             raise ValueError("compromised_fraction must be in [0, 1]")
         if self.post_rate_min <= 0 or self.post_rate_max < self.post_rate_min:
             raise ValueError("invalid post rate bounds")
+        # Written so that NaN fails: every comparison with it is false.
+        if not 0 <= self.spam_suspension_rate < 1:
+            raise ValueError(
+                f"spam_suspension_rate must be in [0, 1), got "
+                f"{self.spam_suspension_rate!r}"
+            )
+        if not 0 <= self.normal_suspension_rate <= 1:
+            raise ValueError(
+                f"normal_suspension_rate must be in [0, 1], got "
+                f"{self.normal_suspension_rate!r}"
+            )
         if not 0 < self.session_on_fraction <= 1:
             raise ValueError("session_on_fraction must be in (0, 1]")
         if self.session_mean_hours < 1:
