@@ -152,13 +152,30 @@ echo "== scale smoke (10k-account two-shard world) =="
 # enough to exercise the array paths yet seconds-fast: build a
 # 10k-account world with two engine shards (one shard never fans
 # out), run two hours, and assert the engine actually emitted — also
-# at workers=2, which must not change a byte.
+# at workers=2, which must not change a byte.  After the run, which
+# respawns suspended campaign members, every column still holds one
+# row per account and ``order``/``index_of`` still map rows to ids.
 PYTHONPATH=src python - <<'EOF'
 import json
 
 from repro.obs import reset, set_enabled
 from repro.twittersim import SimulationConfig, TwitterEngine, build_population
-from repro.twittersim.columnar import AccountMap
+from repro.twittersim.columnar import (
+    ACCOUNT_NUMERIC_COLUMNS,
+    ACCOUNT_STRING_COLUMNS,
+)
+
+
+def check_rows(population) -> None:
+    order = population.order
+    names = [name for name, __, __ in ACCOUNT_NUMERIC_COLUMNS]
+    for name in names + list(ACCOUNT_STRING_COLUMNS):
+        rows = len(population.cols.column(name))
+        assert rows == len(order), f"{name}: {rows} rows, {len(order)} ids"
+    assert population.cols.column("user_id").tolist() == order
+    index_of = population.index_of
+    assert len(index_of) == len(order)
+    assert all(order[index_of[uid]] == uid for uid in index_of)
 
 
 def run(workers: int) -> list[str]:
@@ -167,11 +184,11 @@ def run(workers: int) -> list[str]:
     population = build_population(
         SimulationConfig(seed=5, n_normal_users=10_000, engine_shards=2)
     )
-    assert isinstance(population.accounts, AccountMap), "not columnar"
     engine = TwitterEngine(population, workers=workers)
     firehose = []
     engine.subscribe(firehose.append)
     engine.run_hours(2)
+    check_rows(population)
     reset()
     return [json.dumps(t.to_json(), sort_keys=True) for t in firehose]
 

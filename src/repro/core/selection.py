@@ -162,7 +162,7 @@ class _CandidateColumns:
         self.cols = cols
         self.rows = rows
         idx = np.array(rows, dtype=np.intp)
-        self.uids: list[int] = cols._arrays["user_id"][idx].tolist()
+        self.uids: list[int] = cols.column("user_id")[idx].tolist()
         self._base: dict | None = None
 
     def __len__(self) -> int:
@@ -172,20 +172,20 @@ class _CandidateColumns:
         """Gathered counter columns, keyed as
         :func:`~repro.core.attributes.attribute_values` reads them."""
         if self._base is None:
-            arrays = self.cols._arrays
+            column = self.cols.column
             idx = np.array(self.rows, dtype=np.intp)
             self._base = {
-                "created": arrays["created_at"][idx],
-                "friends": arrays["friends_count"][idx],
-                "followers": arrays["followers_count"][idx],
-                "statuses": arrays["statuses_count"][idx],
-                "listed": arrays["listed_count"][idx],
-                "favourites": arrays["favourites_count"][idx],
+                "created": column("created_at")[idx],
+                "friends": column("friends_count")[idx],
+                "followers": column("followers_count")[idx],
+                "statuses": column("statuses_count")[idx],
+                "listed": column("listed_count")[idx],
+                "favourites": column("favourites_count")[idx],
             }
         return self._base
 
     def screen_name(self, i: int) -> str:
-        return self.cols.screen_name[self.rows[i]]
+        return self.cols.column("screen_name")[self.rows[i]]
 
 
 class _RecentIndex:

@@ -9,11 +9,11 @@ Python-level iteration the refactor removed — at a million accounts
 that is the difference between milliseconds and minutes per hour.
 
 * **RPL501** — hot engine/extractor modules must not iterate the
-  account store object-by-object.  Keyed lookups
-  (``accounts[user_id]``) stay fine: the rule fires only on iteration
+  account store object-by-object.  Keyed lookups (a row through
+  ``index_of[user_id]``) stay fine: the rule fires only on iteration
   (``for account in pop.accounts.values(): ...``), where a vectorized
-  sweep over ``population`` columns is the intended shape.  Init-time
-  or otherwise deliberately object-wise loops carry a
+  sweep over ``population.cols`` columns is the intended shape.
+  Init-time or otherwise deliberately object-wise loops carry a
   ``# repro-lint: disable=RPL501 -- reason`` pragma.
 """
 
@@ -81,8 +81,9 @@ class PerAccountLoopRule(FileRule):
     )
     fix_hint = (
         "Sweep the population's columnar arrays (numpy) instead of "
-        "looping account views; keep keyed accounts[user_id] lookups "
-        "for single records.  A deliberately object-wise loop (e.g. "
+        "looping over accounts one at a time; reach a single account "
+        "as its row, index_of[user_id], and read that row of "
+        "cols.column(name).  A deliberately object-wise loop (e.g. "
         "init-time, runs once) takes a "
         "`# repro-lint: disable=RPL501 -- reason` pragma."
     )

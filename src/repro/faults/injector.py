@@ -136,19 +136,19 @@ class FaultInjector:
         if not budget or self.node_ids_provider is None:
             return
         node_ids = sorted(self.node_ids_provider())
+        index_of = engine.population.index_of
+        suspended = engine.population.cols.column("suspended")
         live = [
             uid
             for uid in node_ids
-            if (account := engine.population.accounts.get(uid))
-            is not None
-            and not account.suspended
+            if (row := index_of.get(uid)) is not None and not suspended[row]
         ]
         if not live:
             return
         k = min(budget, len(live))
         picks = self._rng.choice(len(live), size=k, replace=False)
         for index in sorted(int(p) for p in picks):
-            engine.population.accounts[live[index]].suspended = True
+            suspended[index_of[live[index]]] = True
             self._record(
                 FaultKind.NODE_SUSPENSION, hour=hour, user_id=live[index]
             )

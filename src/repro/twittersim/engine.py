@@ -42,7 +42,7 @@ from ..parallel import parallel_map
 from . import behavior
 from .campaigns import SpammerTasteModel
 from .clock import SECONDS_PER_HOUR, SimClock
-from .entities import AccountState, Mention, Tweet, TweetKind
+from .entities import Mention, Tweet, TweetKind
 from .hashtags import HashtagCategory, category_of
 from .ids import SnowflakeGenerator
 from .population import AccountKind, Population
@@ -338,7 +338,7 @@ class TwitterEngine:
         self._session_on = np.where(
             self._session_on, draws >= p_off, draws < p_on
         )
-        return self._session_on | pop.always_on
+        return self._session_on | pop.cols.column("always_on")
 
     def shard_bounds(self, n_rows: int) -> list[int]:
         """Contiguous account-range boundaries (len ``n_shards + 1``)."""
@@ -351,20 +351,20 @@ class TwitterEngine:
         self, t0: float, t_end: float, hour: int, stats: HourStats
     ) -> list[Tweet]:
         pop = self.population
+        cols = pop.cols
         # Parent-stream preamble (sessions, Poisson counts): drawn
         # before the fan-out, so replies/spam/suspension downstream see
         # the same parent stream whatever the worker count.
         on = self._update_sessions()
         scale = on.astype(np.float64) / pop.config.session_on_fraction
         # always-on accounts post at their nominal rate, not scaled up.
-        scale[pop.always_on] = 1.0
-        rates = pop.post_rate_per_day * scale / 24.0
+        scale[cols.column("always_on")] = 1.0
+        rates = cols.column("post_rate_per_day") * scale / 24.0
         counts = self.rng.poisson(rates)
         posting = np.nonzero(counts)[0]
         if len(posting):
             # Suspended accounts never post.
-            suspended = pop.suspended_flags()
-            posting = posting[~suspended[posting]]
+            posting = posting[~cols.column("suspended")[posting]]
         topic_weights = self.topic_process.weights_at(hour)
         topic_probs = topic_weights / topic_weights.sum()
         topic_cdf = topic_probs.cumsum()
@@ -373,7 +373,7 @@ class TwitterEngine:
 
         order = pop.order
         interests_of = pop.interests
-        topic_affinity = pop.topic_affinity
+        topic_affinity = cols.column("topic_affinity")
         bounds = self.shard_bounds(len(order))
         posting_rows = posting.tolist()
         seed = pop.config.seed
@@ -418,7 +418,6 @@ class TwitterEngine:
         # finalization, recent-post tracking) runs here, on the parent
         # stream.
         tweets: list[Tweet] = []
-        accounts = pop.accounts
         for protos in shard_protos:
             for row, created_at, text, kind, hashtags, topic in protos:
                 if topic is not None:
@@ -426,7 +425,7 @@ class TwitterEngine:
                         topic, int(created_at // SECONDS_PER_HOUR)
                     )
                 tweet = self._finalize_tweet(
-                    accounts[order[row]],
+                    row,
                     created_at,
                     text,
                     kind=kind,
@@ -464,13 +463,16 @@ class TwitterEngine:
         self, t_end: float, stats: HourStats
     ) -> list[Tweet]:
         pop = self.population
+        index_of = pop.index_of
+        # Replies register no account, so the column stays current.
+        suspended = pop.cols.column("suspended")
         tweets: list[Tweet] = []
         while self._pending_replies and (
             self._pending_replies[0].deliver_at < t_end
         ):
             pending = heapq.heappop(self._pending_replies)
-            replier = pop.accounts.get(pending.replier_id)
-            if replier is None or replier.suspended:
+            replier = index_of.get(pending.replier_id)
+            if replier is None or suspended[replier]:
                 continue
             target = pending.target
             text = (
@@ -512,11 +514,14 @@ class TwitterEngine:
         if total_weight <= 0:
             return tweets
         cumulative = np.cumsum(weights) / total_weight
+        index_of = pop.index_of
+        # Spam registers no account, so the column stays current.
+        suspended = pop.cols.column("suspended")
 
         for campaign in pop.campaigns:
             for member_id in campaign.member_ids:
-                member = pop.accounts[member_id]
-                if member.suspended:
+                member = index_of[member_id]
+                if suspended[member]:
                     continue
                 n_actions = int(rng.poisson(campaign.actions_per_hour))
                 for __ in range(n_actions):
@@ -540,8 +545,8 @@ class TwitterEngine:
         for lone_id, (keyword_class, template_id) in (
             pop.lone_spammer_templates.items()
         ):
-            lone = pop.accounts[lone_id]
-            if lone.suspended:
+            lone = index_of[lone_id]
+            if suspended[lone]:
                 continue
             n_actions = int(rng.poisson(pop.config.lone_actions_per_hour))
             for __ in range(n_actions):
@@ -554,8 +559,8 @@ class TwitterEngine:
                     stats.spam_mentions += 1
 
         for uid in self._compromised_uids:
-            relay = pop.accounts[uid]
-            if relay.suspended or rng.random() > 0.02:
+            relay = index_of[uid]
+            if suspended[relay] or rng.random() > 0.02:
                 continue
             campaign_id = pop.truth.account_campaign.get(uid)
             if campaign_id is None or campaign_id >= len(pop.campaigns):
@@ -588,7 +593,7 @@ class TwitterEngine:
 
     def _spam_mention(
         self,
-        sender: AccountState,
+        sender: int,
         text_body: str,
         candidates: list[Tweet],
         cumulative: np.ndarray,
@@ -603,7 +608,7 @@ class TwitterEngine:
         pick = int(cumulative.searchsorted(rng.random(), side="right"))
         victim_post = candidates[min(pick, len(candidates) - 1)]
         victim = victim_post.user
-        if victim.user_id == sender.user_id:
+        if victim.user_id == self.population.order[sender]:
             return None
         delay = behavior.spam_reaction_delay(rng, reaction_median_s)
         created_at = victim_post.created_at + delay
@@ -636,8 +641,8 @@ class TwitterEngine:
             self._score_cache_hour = self.clock.hour
         cache = self._score_cache
         index_of = pop.index_of
-        arrays = pop.cols._arrays
-        suspended = arrays["suspended"]
+        cols = pop.cols
+        suspended = cols.column("suspended")
         rows = [index_of.get(p.user.user_id, -1) for p in candidates]
         need: list[tuple[int, int]] = []
         for post, row in zip(candidates, rows):
@@ -648,12 +653,12 @@ class TwitterEngine:
             picked = np.array([row for __, row in need], dtype=np.intp)
             bases = self.taste.profile_score_batch(
                 self.clock.now,
-                arrays["created_at"][picked],
-                arrays["friends_count"][picked],
-                arrays["followers_count"][picked],
-                arrays["listed_count"][picked],
-                arrays["favourites_count"][picked],
-                arrays["statuses_count"][picked],
+                cols.column("created_at")[picked],
+                cols.column("friends_count")[picked],
+                cols.column("followers_count")[picked],
+                cols.column("listed_count")[picked],
+                cols.column("favourites_count")[picked],
+                cols.column("statuses_count")[picked],
             )
             for (uid, __), base in zip(need, bases.tolist()):
                 cache[uid] = base
@@ -683,7 +688,7 @@ class TwitterEngine:
 
     def _finalize_tweet(
         self,
-        sender: AccountState,
+        sender: int,
         created_at: float,
         text: str,
         kind: TweetKind,
@@ -694,17 +699,20 @@ class TwitterEngine:
         topic: str | None = None,
         in_reply_to: Tweet | None = None,
     ) -> Tweet:
+        """Assemble one tweet posted by the account at row ``sender``."""
         urls = (
             tuple(token for token in text.split() if token.startswith("http"))
             if "http" in text
             else ()
         )
-        sender.statuses_count += 1
-        sender.last_post_at = created_at
+        pop = self.population
+        cols = pop.cols
+        cols.column("statuses_count")[sender] += 1
+        cols.column("last_post_at")[sender] = created_at
         tweet = Tweet(
             tweet_id=self.snowflake.next_id(created_at),
             created_at=created_at,
-            user=sender.snapshot(),
+            user=cols.snapshot(sender),
             text=text,
             kind=kind,
             source=behavior.draw_source(self.rng, spammer and not stealthy),
@@ -720,21 +728,21 @@ class TwitterEngine:
             ),
         )
         if spammer:
-            self.population.truth.spam_tweet_ids.add(tweet.tweet_id)
+            pop.truth.spam_tweet_ids.add(tweet.tweet_id)
         for mention in mentions:
-            mentioned = self.population.accounts.get(mention.user_id)
+            mentioned = pop.index_of.get(mention.user_id)
             if mentioned is not None:
-                mentioned.last_mentioned_at = created_at
+                cols.column("last_mentioned_at")[mentioned] = created_at
         return tweet
 
     # -- maintenance ---------------------------------------------------------
 
     def _grow_profile_counters(self) -> None:
         """Organic accounts slowly gain favourites (Poisson per hour)."""
-        pop = self.population
-        counts = self.rng.poisson(pop.fav_rate_per_day / 24.0)
+        cols = self.population.cols
+        counts = self.rng.poisson(cols.column("fav_rate_per_day") / 24.0)
         grew = np.nonzero(counts)[0]
-        pop.cols.favourites_count[grew] += counts[grew]
+        cols.column("favourites_count")[grew] += counts[grew]
 
     def _run_suspension(self) -> int:
         """Per-account suspension hazard, vectorized by segments.
@@ -749,39 +757,41 @@ class TwitterEngine:
         their live accounts, while campaign members draw scalar in
         place.  The result is bit-identical to the scalar loop at any
         world size.
+
+        A respawn appends a row and may grow the store, which replaces
+        its arrays, so each segment and each scalar check fetches the
+        ``suspended`` column afresh.
         """
         pop = self.population
+        cols = pop.cols
         config = pop.config
         rng = self.rng
         n0 = len(pop.order)
-        # Snapshot is safe for positions < n0: processing a position
-        # never changes another position's flags, and respawns only
-        # append past n0.
-        live = ~pop.suspended_flags()[:n0]
+        # These copies are safe for rows < n0: processing a row never
+        # changes another row's flags, and respawns only append past n0.
+        live = ~cols.column("suspended")
         rates = np.where(
-            pop.spam_hazard[:n0],
+            cols.column("spam_hazard"),
             config.spam_suspension_rate,
             config.normal_suspension_rate,
         )
         suspended = 0
 
         def run_segment(start: int, end: int) -> int:
-            hits = 0
             positions = np.nonzero(live[start:end])[0]
             if not len(positions):
                 return 0
             positions += start
             draws = rng.random(len(positions))
-            for pos in positions[draws < rates[positions]]:
-                pop.accounts[pop.order[int(pos)]].suspended = True
-                hits += 1
-            return hits
+            hits = positions[draws < rates[positions]]
+            cols.column("suspended")[hits] = True
+            return len(hits)
 
         def check_scalar(pos: int) -> int:
-            uid = pop.order[pos]
-            account = pop.accounts[uid]
-            if account.suspended:
+            flags = cols.column("suspended")
+            if flags[pos]:
                 return 0
+            uid = pop.order[pos]
             kind = pop.truth.account_kind[uid]
             rate = (
                 config.spam_suspension_rate
@@ -790,7 +800,7 @@ class TwitterEngine:
             )
             if rng.random() >= rate:
                 return 0
-            account.suspended = True
+            flags[pos] = True
             campaign_id = pop.truth.account_campaign.get(uid)
             if (
                 kind is AccountKind.CAMPAIGN_SPAMMER
@@ -801,7 +811,7 @@ class TwitterEngine:
                 pop.spawn_campaign_member(campaign, self.clock.now)
             return 1
 
-        respawn_capable = np.nonzero(pop.campaign_member_flags[:n0])[0]
+        respawn_capable = np.nonzero(cols.column("campaign_member"))[0]
         start = 0
         for sp in respawn_capable:
             sp = int(sp)

@@ -202,12 +202,13 @@ class Tweet:
 
 @dataclass(slots=True)
 class AccountState:
-    """Mutable platform-side state of an account.
+    """The record one account registration appends to the store.
 
-    The engine mutates counters here and emits frozen
-    :class:`UserProfile` snapshots into tweets, so a tweet's embedded
-    profile reflects the account *at posting time*, like real tweet
-    JSON does.
+    The account then lives as a row of
+    :class:`~repro.twittersim.columnar.AccountColumns`, where the
+    engine mutates its counters and takes frozen :class:`UserProfile`
+    snapshots into tweets, so a tweet's embedded profile reflects the
+    account *at posting time*, like real tweet JSON does.
     """
 
     user_id: int
@@ -226,21 +227,3 @@ class AccountState:
     suspended: bool = False
     last_post_at: float = field(default=float("-inf"))
     last_mentioned_at: float = field(default=float("-inf"))
-
-    def snapshot(self) -> UserProfile:
-        """Freeze the current state into a public profile snapshot."""
-        return UserProfile(
-            user_id=self.user_id,
-            screen_name=self.screen_name,
-            name=self.name,
-            created_at=self.created_at,
-            description=self.description,
-            friends_count=self.friends_count,
-            followers_count=self.followers_count,
-            statuses_count=self.statuses_count,
-            listed_count=self.listed_count,
-            favourites_count=self.favourites_count,
-            verified=self.verified,
-            default_profile_image=self.default_profile_image,
-            profile_image_id=self.profile_image_id,
-        )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .campaigns import Campaign, make_campaign
 from .clock import days
-from .columnar import AccountColumns, AccountMap, AccountView
+from .columnar import AccountColumns
 from .config import SimulationConfig
 from .entities import AccountState
 from .hashtags import HashtagCategory
@@ -103,22 +103,13 @@ class _NameRegistry:
 class Population:
     """The full account population plus supporting stores.
 
-    ``rates`` arrays are indexed by position; ``index_of`` maps user id
-    to position.  The engine uses the arrays for vectorized per-hour
-    activity sampling.
-
-    Per-position arrays (rates, affinity, flags) are backed by
-    capacity-doubling buffers so late registration (campaign respawn,
-    operator accounts) stays amortized O(1); the public attributes
-    expose the live ``[:n]`` slice, which aliases the buffer and is
-    therefore writable in place.
-
-    Account state lives in ``cols``, an
-    :class:`~repro.twittersim.columnar.AccountColumns` store, and
-    ``accounts`` is an :class:`~repro.twittersim.columnar.AccountMap`
-    of thin views over it.  Row index in the columns always equals
-    ``index_of[uid]``: ``_register`` grows ``order``, the columns and
-    the per-position arrays together.
+    Every account is one row of ``cols``, an
+    :class:`~repro.twittersim.columnar.AccountColumns` store that holds
+    its profile, platform state, organic activity rates and hazard
+    flags.  ``order[row]`` is the row's user id and ``index_of[uid]``
+    its row: ``_register`` appends to the columns, ``order`` and
+    ``index_of`` together.  The engine sweeps the columns for its
+    vectorized per-hour activity sampling.
     """
 
     def __init__(
@@ -127,10 +118,7 @@ class Population:
         cols: AccountColumns,
         order: list[int],
         index_of: dict[int, int],
-        post_rate_per_day: np.ndarray,
-        fav_rate_per_day: np.ndarray,
         interests: dict[int, tuple[HashtagCategory, ...]],
-        topic_affinity: np.ndarray,
         campaigns: list[Campaign],
         truth: GroundTruth,
         images: ImageStore,
@@ -138,12 +126,10 @@ class Population:
         lone_spammer_templates: dict[int, tuple[str, int]],
         rng: np.random.Generator,
         names: "_NameRegistry",
-        always_on: np.ndarray | None = None,
         _next_user_id: int = 0,
     ) -> None:
         self.config = config
         self.cols = cols
-        self.accounts = AccountMap(cols, index_of)
         self.order = order
         self.index_of = index_of
         self.interests = interests
@@ -155,83 +141,14 @@ class Population:
         self.rng = rng
         self.names = names
         self._next_user_id = _next_user_id
-        n = len(order)
-        self._n_rows = n
-        capacity = max(n, 1)
-        self._post_rate = np.zeros(capacity, dtype=np.float64)
-        self._post_rate[:n] = post_rate_per_day
-        self._fav_rate = np.zeros(capacity, dtype=np.float64)
-        self._fav_rate[:n] = fav_rate_per_day
-        self._topic_affinity = np.zeros(capacity, dtype=np.float64)
-        self._topic_affinity[:n] = topic_affinity
-        self._always_on = np.zeros(capacity, dtype=bool)
-        if always_on is not None:
-            self._always_on[:n] = always_on
-        #: True where the account's role carries the *spam* suspension
-        #: hazard (campaign members and lone wolves; compromised relays
-        #: keep the normal hazard).  Maintained by ``_register``.
-        self._spam_hazard = np.zeros(capacity, dtype=bool)
-        #: True for campaign members (respawn-capable under suspension).
-        self._campaign_member = np.zeros(capacity, dtype=bool)
-
-    # -- per-position array views -----------------------------------------
-
-    @property
-    def post_rate_per_day(self) -> np.ndarray:
-        return self._post_rate[: self._n_rows]
-
-    @property
-    def fav_rate_per_day(self) -> np.ndarray:
-        return self._fav_rate[: self._n_rows]
-
-    @property
-    def topic_affinity(self) -> np.ndarray:
-        return self._topic_affinity[: self._n_rows]
-
-    @property
-    def always_on(self) -> np.ndarray:
-        """Accounts exempt from burst dormancy (operator honeypots)."""
-        return self._always_on[: self._n_rows]
-
-    @property
-    def spam_hazard(self) -> np.ndarray:
-        return self._spam_hazard[: self._n_rows]
-
-    @property
-    def campaign_member_flags(self) -> np.ndarray:
-        return self._campaign_member[: self._n_rows]
-
-    def _grow_position_arrays(self) -> None:
-        if self._n_rows < len(self._post_rate):
-            return
-        capacity = max(2 * len(self._post_rate), self._n_rows + 1)
-        for attr in (
-            "_post_rate",
-            "_fav_rate",
-            "_topic_affinity",
-            "_always_on",
-            "_spam_hazard",
-            "_campaign_member",
-        ):
-            old = getattr(self, attr)
-            grown = np.zeros(capacity, dtype=old.dtype)
-            grown[: self._n_rows] = old[: self._n_rows]
-            setattr(self, attr, grown)
-
-    def suspended_flags(self) -> np.ndarray:
-        """Per-position suspension flags (an aliasing column view)."""
-        return self.cols.suspended
 
     # -- queries ----------------------------------------------------------
-
-    def account(self, user_id: int) -> AccountView:
-        """Look up the mutable platform state of an account."""
-        return self.accounts[user_id]
 
     def live_ids(self) -> list[int]:
         """Ids of accounts that are not suspended."""
         order = self.order
-        return [order[i] for i in np.nonzero(~self.cols.suspended)[0]]
+        suspended = self.cols.column("suspended")
+        return [order[i] for i in np.nonzero(~suspended)[0]]
 
     def normal_ids(self) -> list[int]:
         """Ids of accounts whose ground-truth role is NORMAL."""
@@ -314,7 +231,7 @@ class Population:
             raise ValueError(
                 f"user id {user_id} was not allocated by next_user_id()"
             )
-        if user_id in self.accounts:
+        if user_id in self.index_of:
             raise ValueError(f"user id {user_id} already exists")
         if not (math.isfinite(post_rate_per_day) and post_rate_per_day >= 0):
             raise ValueError(
@@ -326,11 +243,11 @@ class Population:
                 f"topic_affinity must be in [0, 1], got {topic_affinity}"
             )
         account.screen_name = self.names.claim(account.screen_name, self.rng)
-        self._register(account, AccountKind.NORMAL)
-        idx = self.index_of[account.user_id]
-        self.post_rate_per_day[idx] = post_rate_per_day
-        self.topic_affinity[idx] = topic_affinity
-        self.always_on[idx] = True
+        row = self._register(account, AccountKind.NORMAL)
+        cols = self.cols
+        cols.column("post_rate_per_day")[row] = post_rate_per_day
+        cols.column("topic_affinity")[row] = topic_affinity
+        cols.column("always_on")[row] = True
         self.interests[account.user_id] = interests
         return account.user_id
 
@@ -340,24 +257,26 @@ class Population:
         self._next_user_id += 1
         return user_id
 
-    def _register(self, account: AccountState, kind: AccountKind) -> None:
-        # Row index equals position in ``order`` by construction.
-        self.cols.append_state(account)
-        self.index_of[account.user_id] = len(self.order)
+    def _register(self, account: AccountState, kind: AccountKind) -> int:
+        """Append one account's row; returns the row.
+
+        Its activity columns keep their fills: spam accounts post
+        through their campaign logic, not the organic rates.
+        """
+        cols = self.cols
+        row = cols.append_state(account)
+        self.index_of[account.user_id] = row
         self.order.append(account.user_id)
         self.truth.account_kind[account.user_id] = kind
-        # Spam accounts post through their campaign logic, not the
-        # organic rate arrays, so extend rates with zeros (the buffers
-        # grow geometrically; new slots are already zero-filled).
-        self._grow_position_arrays()
-        self._n_rows += 1
-        idx = self._n_rows - 1
-        self._spam_hazard[idx] = kind in (
+        cols.column("spam_hazard")[row] = kind in (
             AccountKind.CAMPAIGN_SPAMMER,
             AccountKind.LONE_SPAMMER,
         )
-        self._campaign_member[idx] = kind is AccountKind.CAMPAIGN_SPAMMER
+        cols.column("campaign_member")[row] = (
+            kind is AccountKind.CAMPAIGN_SPAMMER
+        )
         self.interests[account.user_id] = ()
+        return row
 
 
 def build_population(config: SimulationConfig) -> Population:
@@ -452,9 +371,10 @@ def build_population(config: SimulationConfig) -> Population:
         verified=verified,
         default_profile_image=default_image,
         profile_image_id=image_ids,
+        post_rate_per_day=post_rate,
+        fav_rate_per_day=fav_rate,
     )
-
-    topic_affinity = np.clip(
+    cols.column("topic_affinity")[:] = np.clip(
         rng.beta(2, 2, size=n) * 2 * config.topic_affinity_mean, 0, 0.95
     )
 
@@ -463,10 +383,7 @@ def build_population(config: SimulationConfig) -> Population:
         cols=cols,
         order=list(range(n)),
         index_of=dict(zip(range(n), range(n))),
-        post_rate_per_day=post_rate.copy(),
-        fav_rate_per_day=fav_rate.copy(),
         interests=interests,
-        topic_affinity=topic_affinity,
         campaigns=[],
         truth=truth,
         images=images,
@@ -474,7 +391,6 @@ def build_population(config: SimulationConfig) -> Population:
         lone_spammer_templates={},
         rng=rng,
         names=names,
-        always_on=np.zeros(n, dtype=bool),
         _next_user_id=n,
     )
 

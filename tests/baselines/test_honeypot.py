@@ -24,7 +24,8 @@ class TestTraditionalHoneypot:
         nodes = honeypot.deploy()
         assert len(nodes) == 5
         for node in nodes:
-            account = population.accounts[node.user_id]
+            row = population.index_of[node.user_id]
+            account = population.cols.snapshot(row)
             assert account.listed_count == 0  # cannot be manufactured
             assert account.created_at >= 0.0  # registered during the sim
 
@@ -43,8 +44,9 @@ class TestTraditionalHoneypot:
         honeypot = TraditionalHoneypot(engine, 5, profile=profile)
         nodes = honeypot.deploy()
         honeypot.run_hours(6)
+        statuses = population.cols.column("statuses_count")
         posted = sum(
-            population.accounts[n.user_id].statuses_count for n in nodes
+            statuses[population.index_of[n.user_id]] for n in nodes
         )
         assert posted > 0
 

@@ -27,8 +27,9 @@ class TestRandomAccountSelector:
             rest, n_nodes=10, activity=ActivityPolicy(), seed=1
         )
         nodes = selector.select(None, engine.clock.now)
+        last_post_at = population.cols.column("last_post_at")
         for node in nodes:
-            last = population.accounts[node.user_id].last_post_at
+            last = last_post_at[population.index_of[node.user_id]]
             assert engine.clock.now - last <= 24 * 3600
 
     def test_different_seeds_differ(self, warm_world):

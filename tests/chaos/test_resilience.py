@@ -187,11 +187,10 @@ class TestNodeSuspension:
             if e.attributes["kind"] == "node_suspension"
         ]
         assert len(events) == 2
+        population = run.engine.population
+        suspended = population.cols.column("suspended")
         for event in events:
-            account = run.engine.population.accounts[
-                event.attributes["user_id"]
-            ]
-            assert account.suspended
+            assert suspended[population.index_of[event.attributes["user_id"]]]
 
 
 class TestRestFaults:

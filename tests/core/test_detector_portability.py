@@ -31,7 +31,7 @@ class TestActivityPolicy:
         population, engine, rest = fresh_world(seed=91)
         engine.run_hours(2)
         uid = population.order[0]
-        population.accounts[uid].suspended = True
+        population.cols.column("suspended")[population.index_of[uid]] = True
         assert not ActivityPolicy().is_active(rest, uid, engine.clock.now)
 
     def test_dormant_when_never_posted(self, fresh_world):

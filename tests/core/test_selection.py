@@ -59,8 +59,9 @@ class TestProfileSelection:
         )
         nodes = selector.select(plan, engine.clock.now)
         assert nodes
+        friends = population.cols.column("friends_count")
         for node in nodes:
-            value = population.accounts[node.user_id].friends_count
+            value = friends[population.index_of[node.user_id]]
             assert 100 / selector.tolerance <= value <= 100 * selector.tolerance
             assert node.attribute_key == "friends_count"
             assert node.sample_label == "friends_count=100"
@@ -72,8 +73,9 @@ class TestProfileSelection:
             profile_targets=(ProfileTarget(spec, 100, count=3),)
         )
         nodes = selector.select(plan, engine.clock.now)
+        friends = population.cols.column("friends_count")
         picked = [
-            abs(math.log(population.accounts[n.user_id].friends_count / 100))
+            abs(math.log(friends[population.index_of[n.user_id]] / 100))
             for n in nodes
         ]
         assert picked == sorted(picked)
@@ -98,8 +100,9 @@ class TestProfileSelection:
             profile_targets=(ProfileTarget(spec, 500, count=10),)
         )
         nodes = selector.select(plan, engine.clock.now)
+        last_post_at = population.cols.column("last_post_at")
         for node in nodes:
-            last_post = population.accounts[node.user_id].last_post_at
+            last_post = last_post_at[population.index_of[node.user_id]]
             assert engine.clock.now - last_post <= 24 * 3600
 
     def test_shortfall_reported(self, selector_world):

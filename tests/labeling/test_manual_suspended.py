@@ -47,15 +47,16 @@ class TestFindSuspended:
         population, __, rest = fresh_world(seed=51)
         ids = population.order[:150]
         suspended = set(ids[::7])
+        flags = population.cols.column("suspended")
         for uid in suspended:
-            population.accounts[uid].suspended = True
+            flags[population.index_of[uid]] = True
         found = find_suspended(rest, list(ids))
         assert found == suspended
 
     def test_handles_duplicates(self, fresh_world):
         population, __, rest = fresh_world(seed=52)
         uid = population.order[0]
-        population.accounts[uid].suspended = True
+        population.cols.column("suspended")[population.index_of[uid]] = True
         found = find_suspended(rest, [uid, uid, uid])
         assert found == {uid}
 

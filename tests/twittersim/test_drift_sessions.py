@@ -67,13 +67,14 @@ class TestBurstSessions:
         population = build_population(config)
         engine = TwitterEngine(population)
         # Track hourly posting of the highest-rate user.
-        idx = int(np.argmax(population.post_rate_per_day))
-        uid = population.order[idx]
+        cols = population.cols
+        idx = int(np.argmax(cols.column("post_rate_per_day")))
         hourly = []
         for __ in range(14):
-            before = population.accounts[uid].statuses_count
+            # Fetched every hour: a respawn may grow the store.
+            before = cols.column("statuses_count")[idx]
             engine.run_hour()
-            hourly.append(population.accounts[uid].statuses_count - before)
+            hourly.append(cols.column("statuses_count")[idx] - before)
         assert any(h == 0 for h in hourly), "never dormant"
         assert any(h > 0 for h in hourly), "never active"
 
@@ -83,7 +84,7 @@ class TestBurstSessions:
         engine = TwitterEngine(population)
         stats = engine.run_hours(20)
         organic = sum(s.organic_posts for s in stats) / 20
-        expected = population.post_rate_per_day[
+        expected = population.cols.column("post_rate_per_day")[
             : config.n_normal_users
         ].sum() / 24
         assert organic == pytest.approx(expected, rel=0.25)
@@ -110,7 +111,8 @@ class TestBurstSessions:
         engine = TwitterEngine(population)
         engine.run_hours(10)
         # ~2 posts/hour for 10 hours; dormancy exemption keeps it steady.
-        assert population.accounts[uid].statuses_count >= 8
+        row = population.index_of[uid]
+        assert population.cols.column("statuses_count")[row] >= 8
 
     def test_session_config_validation(self):
         with pytest.raises(ValueError):

@@ -145,10 +145,11 @@ class TestModeration:
         )
         engine = TwitterEngine(population)
         engine.run_hours(4)
+        flags = population.cols.column("suspended")
         suspended = [
             uid
             for uid in population.order
-            if population.accounts[uid].suspended
+            if flags[population.index_of[uid]]
         ]
         assert suspended
         # Overwhelmingly spammers (normal rate is ~1e-5).
@@ -165,7 +166,7 @@ class TestModeration:
         engine.run_hours(3)
         sizes_after = [len(c.member_ids) for c in population.campaigns]
         assert sizes_after == sizes_before  # replaced one-for-one
-        assert len(population.accounts) > sum(sizes_before)
+        assert len(population.index_of) > sum(sizes_before)
 
     def test_suspended_accounts_stop_tweeting(self):
         population = build_population(
@@ -173,19 +174,17 @@ class TestModeration:
         )
         engine = TwitterEngine(population)
         engine.run_hours(2)
-        suspended = {
-            uid
-            for uid in population.order
-            if population.accounts[uid].suspended
-        }
+        index_of = population.index_of
+        flags = population.cols.column("suspended")
+        suspended = {uid for uid in population.order if flags[index_of[uid]]}
         assert suspended
         firehose = []
         engine.subscribe(firehose.append)
         engine.run_hour()
+        # The hour may respawn members and grow the store: fetch again.
+        flags = population.cols.column("suspended")
         still_suspended = suspended & {
-            uid
-            for uid in suspended
-            if population.accounts[uid].suspended
+            uid for uid in suspended if flags[index_of[uid]]
         }
         authors = {t.user.user_id for t in firehose}
         assert not (authors & still_suspended)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.twittersim.clock import days
 from repro.twittersim.entities import (
-    AccountState,
     Mention,
     Tweet,
     TweetKind,
@@ -84,22 +83,3 @@ class TestTweet:
         )
         assert Tweet.from_json(tweet.to_json()) == tweet
 
-
-class TestAccountState:
-    def test_snapshot_freezes_current_counters(self):
-        account = AccountState(
-            user_id=9,
-            screen_name="s",
-            name="n",
-            created_at=0.0,
-            description="d",
-            friends_count=1,
-            followers_count=2,
-            statuses_count=3,
-            listed_count=4,
-            favourites_count=5,
-        )
-        snapshot = account.snapshot()
-        account.statuses_count = 99
-        assert snapshot.statuses_count == 3
-        assert account.snapshot().statuses_count == 99

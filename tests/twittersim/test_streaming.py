@@ -54,14 +54,18 @@ class TestFilteredStream:
     def pick_tracked_user(self, population):
         # A normal user with a decent post rate so matches happen;
         # pinned always-on so burst dormancy can't starve the test.
+        # Its profile snapshot carries the id and handle, which never
+        # change.
+        cols = population.cols
+        rates = cols.column("post_rate_per_day")
         best, best_rate = None, -1.0
         for uid in population.order[: population.config.n_normal_users]:
             idx = population.index_of[uid]
-            rate = population.post_rate_per_day[idx]
+            rate = rates[idx]
             if rate > best_rate:
                 best, best_rate = uid, rate
-        population.always_on[population.index_of[best]] = True
-        return population.accounts[best]
+        cols.column("always_on")[population.index_of[best]] = True
+        return cols.snapshot(population.index_of[best])
 
     def test_captures_only_crossing_tweets(self, fresh_world):
         population, engine, __ = fresh_world(seed=31)
